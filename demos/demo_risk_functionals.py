@@ -5,8 +5,9 @@ quantile inequality ratios from regression data where the variable of
 interest is confounded by covariates.
 """
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy.stats import norm
 
 import quantfunc as qf
 
@@ -48,5 +49,6 @@ print(f"symmetric quantile ratio R(0.5)  = "
 mean_est = qf.linear_functional(q_hat, lambda u: 1.0)
 print(f"\nunit-weight linear functional (the mean): {mean_est:.4f} "
       f"(errors are centered, truth 0)")
+std_normal = NormalDist()
 print(f"normal-comparison CVaR at 0.9 would be "
-      f"{norm.pdf(norm.ppf(0.9)) / 0.1:.4f}")
+      f"{std_normal.pdf(std_normal.inv_cdf(0.9)) / 0.1:.4f}")

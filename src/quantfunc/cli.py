@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -41,37 +42,36 @@ class CliError(QuantfuncError):
 def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset:
     """Strict CSV ingestion: header row, comma separator, '.' decimals, UTF-8.
 
-    Missing or non-numeric cells abort with the offending row number.
+    The used columns are parsed in one vectorized pass.  Missing,
+    non-numeric or whitespace-padded cells, and digit separators such as
+    ``1_000``, abort with the offending row number.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            header_line = fh.readline()
+            body = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError("input", f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CliError("input", f"{path}: empty file, header row required")
-        header = [h.strip() for h in header]
-        for col in [response, *covariates]:
-            if col not in header:
-                raise CliError("input", f"{path}: column {col!r} not in header {header}")
-        y_idx = header.index(response)
-        x_idx = [header.index(c) for c in covariates]
-        y_rows, x_rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                y_rows.append(float(row[y_idx]))
-                x_rows.append([float(row[j]) for j in x_idx])
-            except (ValueError, IndexError) as exc:
-                raise CliError("input", f"{path}: row {lineno}: bad numeric cell ({exc})") from exc
-        if not y_rows:
-            raise CliError("input", f"{path}: no data rows")
-    y = np.asarray(y_rows)
-    x = np.asarray(x_rows).reshape(len(y_rows), len(covariates))
+    if not header_line.strip():
+        raise CliError("input", f"{path}: empty file, header row required")
+    header = [h.strip() for h in next(csv.reader([header_line]))]
+    for col in [response, *covariates]:
+        if col not in header:
+            raise CliError("input", f"{path}: column {col!r} not in header {header}")
+    cols = [header.index(c) for c in [response, *covariates]]
+    if not body.strip():
+        raise CliError("input", f"{path}: no data rows")
+    try:
+        data = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"',
+                          usecols=cols, ndmin=2, comments=None)
+    except ValueError as exc:
+        _raise_bad_row(path, body, cols)
+        raise CliError("input", f"{path}: {exc}") from exc
+    # np.loadtxt strips blanks around a number; the rows are scanned cell by
+    # cell only when a blank occurs at all.
+    if any(c in body for c in " \t\f\v"):
+        _raise_bad_row(path, body, cols)
+    y, x = data[:, 0], data[:, 1:]
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
         bad = int(np.argmax(~np.isfinite(y))) + 2 if not np.all(np.isfinite(y)) else \
             int(np.argmax(~np.all(np.isfinite(x), axis=1))) + 2
@@ -80,6 +80,22 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
         return Dataset(y=y, x=x)
     except DataError as exc:
         raise CliError("data", str(exc)) from exc
+
+
+def _raise_bad_row(path: str, body: str, cols: list[int]) -> None:
+    """Raise for the first data row whose used cells are not all plain numbers."""
+    rows = csv.reader(body.splitlines())
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            for j in cols:
+                cell = row[j]
+                if cell != cell.strip() or "_" in cell or not cell.isascii():
+                    raise ValueError(f"could not convert string to float: {cell!r}")
+                float(cell)
+        except (ValueError, IndexError) as exc:
+            raise CliError("input", f"{path}: row {lineno}: bad numeric cell ({exc})") from exc
 
 
 def _dump(payload, path: str | None) -> None:

@@ -13,7 +13,8 @@ emit nondecreasing step functions on (0, 1) represented by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,18 +120,29 @@ def check_loss_vec(u: np.ndarray, alpha: float) -> np.ndarray:
     return u * (alpha - (u < 0.0))
 
 
+def scaled_level(alpha: float, n: int) -> Fraction:
+    """``n * alpha`` exactly, with alpha read as the decimal it prints as.
+
+    Every count or rank taken from a level goes through here.  In binary
+    ``100 * 0.55`` is 55.00000000000001 and ``1 - 0.9`` is below 0.1, so a
+    ceiling or floor taken in float can land one rank off.
+    """
+    return n * Fraction(repr(float(alpha)))
+
+
 def order_index(alpha: float, n: int) -> OrderStatisticIndex:
     """Rank of the alpha-quantile order statistic in a sample of size n.
 
     Uses the lower-empirical-quantile convention ``max(1, ceil(n * alpha))``,
-    which makes every quantile process in this library left-continuous with
-    exactly n steps.
+    with ``n * alpha`` taken exactly by :func:`scaled_level`, which makes
+    every quantile process in this library left-continuous with exactly n
+    steps.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    idx = max(1, math.ceil(n * alpha))
+    idx = max(1, math.ceil(scaled_level(alpha, n)))
     idx = min(idx, n)
     return OrderStatisticIndex(alpha=alpha, n=n, index=idx)
 

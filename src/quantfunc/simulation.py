@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import norm
 
 from .errors import DomainError
 from .model import Dataset, order_index
@@ -30,6 +29,23 @@ DESIGNS = ("iid_uniform_cube", "equispaced", "iid_normal")
 # Default sup-deviation threshold c in the coverage fraction
 # P(sup-deviation < c / sqrt(n)).
 DEFAULT_COVERAGE_C = 5.0
+
+_STD_NORMAL = NormalDist()
+
+
+def _normal_ppf(u: float) -> float:
+    if 0.0 < u < 1.0:
+        return _STD_NORMAL.inv_cdf(u)
+    return -math.inf if u == 0.0 else math.inf if u == 1.0 else math.nan
+
+
+def _normal_cdf(z: float) -> float:
+    # erfc keeps full relative precision in the lower tail, where 1 + erf cancels
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+_normal_ppf_vec = np.vectorize(_normal_ppf, otypes=[float])
+_normal_cdf_vec = np.vectorize(_normal_cdf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -62,7 +78,7 @@ class ErrorDistribution:
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         if self.kind == "standard_normal":
-            return norm.ppf(u)
+            return _normal_ppf_vec(u)
         if self.kind == "shifted_exponential":
             return -np.log1p(-u) / self.param - 1.0 / self.param
         return self.param * (u - 0.5)
@@ -70,25 +86,48 @@ class ErrorDistribution:
     def cdf(self, z):
         z = np.asarray(z, dtype=float)
         if self.kind == "standard_normal":
-            return norm.cdf(z)
+            return _normal_cdf_vec(z)
         if self.kind == "shifted_exponential":
-            return 1.0 - np.exp(-self.param * (z + 1.0 / self.param) )
+            return 1.0 - np.exp(-self.param * np.maximum(z + 1.0 / self.param, 0.0))
         half = self.param / 2.0
         return np.clip((z + half) / self.param, 0.0, 1.0)
 
     def true_functional(self, kind: str, level: float) -> float:
-        """Population value of a functional, by quadrature on the quantile function."""
+        """Population value of a functional, in closed form.
+
+        With rate r (``shifted_exponential``) and width w
+        (``uniform_centered``):
+
+        - ``cvar`` at alpha, the mean of Q(u) over (alpha, 1):
+          phi(z_alpha) / (1 - alpha), -log1p(-alpha) / r and w alpha / 2;
+        - ``mean_excess`` at gamma, E[Z - gamma | Z >= gamma]:
+          phi(gamma) / Phi(-gamma) - gamma; 1/r above the support's lower
+          end -1/r and -gamma below it; (w/2 - gamma) / 2 inside the
+          support and -gamma below it.  A threshold at or above the upper
+          end of the support (or where Phi(-gamma) underflows) raises
+          :class:`DomainError`.
+        """
         if kind == "cvar":
-            integral, _ = quad(lambda u: self.quantile(u), level, 1.0,
-                               epsrel=1e-10, limit=500)
-            return integral / (1.0 - level)
+            if not 0.0 < level < 1.0:
+                raise DomainError(f"cvar level must be in (0, 1), got {level}")
+            if self.kind == "standard_normal":
+                return _STD_NORMAL.pdf(_STD_NORMAL.inv_cdf(level)) / (1.0 - level)
+            if self.kind == "shifted_exponential":
+                return -math.log1p(-level) / self.param
+            return self.param * level / 2.0
         if kind == "mean_excess":
-            u0 = float(self.cdf(level))
-            if u0 >= 1.0:
+            gamma = float(level)
+            if self.kind == "standard_normal":
+                upper = _normal_cdf(-gamma)
+                if upper == 0.0:
+                    raise DomainError("threshold beyond the support")
+                return _STD_NORMAL.pdf(gamma) / upper - gamma
+            if self.kind == "shifted_exponential":
+                return 1.0 / self.param if gamma >= -1.0 / self.param else -gamma
+            half = self.param / 2.0
+            if gamma >= half:
                 raise DomainError("threshold beyond the support")
-            integral, _ = quad(lambda u: self.quantile(u) - level, u0, 1.0,
-                               epsrel=1e-10, limit=500)
-            return integral / (1.0 - u0)
+            return (half - gamma) / 2.0 if gamma > -half else -gamma
         raise DomainError(f"no analytic truth for functional {kind!r}")
 
 

@@ -170,6 +170,28 @@ class TestErrors:
         assert err.startswith("error:input:")
         assert "row 3" in err
 
+    @pytest.mark.parametrize("cells,row", [
+        (["1_000", "2", "3", "4"], 2),
+        (["1", " 2 ", "3", "4"], 3),
+        (["1", "2", "3", "4 "], 5),
+        (["1", "2", "", "4"], 4),
+    ])
+    def test_strict_cells_rejected_with_row(self, tmp_path, capsys, cells, row):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
+        code, _, err = run(capsys, "--command", "fit", "--input", str(path),
+                           "--response", "y")
+        assert code != 0
+        assert err.startswith(f"error:input: {path}: row {row}: bad numeric cell")
+
+    def test_unused_text_column_quotes_and_crlf_accepted(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'y,city\r\n1.5,New York\r\n"2.5","a, b"\r\n\r\n-3e-1,c\r\n')
+        code, out, _ = run(capsys, "--command", "fit", "--input", str(path),
+                           "--response", "y")
+        assert code == 0
+        assert json.loads(out)["averaged_process"] == [-0.3, 1.5, 2.5]
+
     def test_missing_column(self, capsys):
         code, _, err = run(capsys, "--command", "fit", "--input", fx("p0.csv"),
                            "--response", "nope")

@@ -1,9 +1,13 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from quantfunc import (DomainError, cvar, empirical_quantile_process,
                        gastwirth_j, linear_functional, lorenz, mean_excess,
                        staudte_r)
+from quantfunc.functionals import QUAD_NODES, quad
 
 
 def proc_of(*values):
@@ -21,15 +25,47 @@ class TestLinearFunctional:
         w = lambda u: (u > 0.5) / 0.5
         assert linear_functional(proc_of(1, 2, 3, 4), w) == pytest.approx(3.5)
 
+    @pytest.mark.parametrize("w,big_w", [
+        (lambda u: 6.0 * u * (1.0 - u), lambda u: 3.0 * u * u - 2.0 * u ** 3),
+        (lambda u: (2 * QUAD_NODES) * u ** (2 * QUAD_NODES - 1),
+         lambda u: u ** (2 * QUAD_NODES)),
+        (np.exp, np.exp),
+        (lambda u: np.cos(3.0 * u), lambda u: np.sin(3.0 * u) / 3.0),
+    ], ids=["6u(1-u)", "top_degree", "exp", "cos"])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_equals_antiderivative_sum(self, w, big_w, n):
+        values = np.sort(np.random.default_rng(n).uniform(0.5, 2.0, n))
+        edges = np.arange(n + 1) / n
+        exact = math.fsum(values * (big_w(edges[1:]) - big_w(edges[:-1])))
+        got = linear_functional(empirical_quantile_process(values), w)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_jump_on_a_cell_edge_is_exact(self):
+        # 1{u > 0.3} on n = 10 cells: the top 7 cells have weight 1/10 each
+        got = linear_functional(proc_of(*range(1, 11)), lambda u: 1.0 * (u > 0.3))
+        assert got == pytest.approx(4.9, rel=1e-15)
+
+    def test_quad_returns_every_cell_integral(self):
+        assert quad(lambda u: 2.0 * u, 4) == pytest.approx([1 / 16, 3 / 16, 5 / 16, 7 / 16],
+                                                          rel=1e-15)
+
+    def test_nonfinite_weight(self):
+        with pytest.raises(DomainError):
+            linear_functional(proc_of(1, 2, 3), lambda u: np.inf)
+
 
 class TestCvar:
     def test_hand_example(self):
         assert cvar(proc_of(1, 2, 3, 4, 5), 0.6).value == pytest.approx(4.5)
 
     def test_small_alpha_whole_mean(self):
-        # alpha small enough that floor(n(1-alpha)) == n: the whole-sample mean
+        # for any alpha in (0, 1/n], ceil(n alpha) = 1: the mean of all but the minimum
         est = cvar(proc_of(1, 2, 3, 4), 1e-17)
-        assert est.value == pytest.approx(2.5)
+        assert est.value == 3.0
+
+    def test_tail_count_is_exact_at_decimal_levels(self):
+        # 1 - 0.9 is below 0.1 in binary; the tail still holds 2000 values
+        assert cvar(proc_of(*range(1, 20001)), 0.9).value == 19000.5
 
     def test_tail_too_small(self):
         with pytest.raises(DomainError):
@@ -83,6 +119,10 @@ class TestLorenz:
 
     def test_hand_example(self):
         assert lorenz(proc_of(1, 2, 3, 4), 0.5).value == pytest.approx(0.3)
+
+    def test_split_is_exact_at_decimal_levels(self):
+        # 100 * 0.55 is 55.00000000000001 in binary, leaving a spurious fraction
+        assert lorenz(proc_of(*[1.0] * 100), 0.55).value == 0.55
 
     def test_full_mass_is_one(self):
         rng = np.random.default_rng(4)
@@ -161,7 +201,7 @@ class TestAgainstDirectSampleFormulas:
         s = np.sort(sample)
         n = len(s)
 
-        m = int(np.floor(n * 0.3))
+        m = n - math.ceil(n * Fraction("0.7"))
         assert cvar(proc, 0.7).value == pytest.approx(s[-m:].mean(), rel=1e-14)
 
         gamma = float(np.median(sample))

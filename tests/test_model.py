@@ -1,3 +1,5 @@
+from decimal import ROUND_CEILING, Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +54,17 @@ class TestOrderIndex:
     def test_rejects_bad_alpha(self):
         with pytest.raises(DomainError):
             order_index(1.0, 10)
+
+    def test_decimal_level_is_read_exactly(self):
+        # 100 * 0.55 is 55.00000000000001 in binary
+        assert order_index(0.55, 100).index == 55
+        assert empirical_quantile_process(np.arange(1.0, 101.0))(0.55) == 55.0
+
+    @given(n=st.integers(min_value=1, max_value=10**6),
+           a=st.floats(min_value=1e-9, max_value=1.0, exclude_max=True))
+    def test_rank_is_the_exact_decimal_ceiling(self, n, a):
+        exact = (Decimal(repr(a)) * n).to_integral_value(rounding=ROUND_CEILING)
+        assert order_index(a, n).index == max(1, int(exact))
 
     @given(n=st.integers(min_value=1, max_value=500),
            a=st.floats(min_value=0.01, max_value=0.99),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -23,6 +24,16 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return SimulationConfig(**base)
+
+
+# Each error law beside the same law in scipy.stats, the independent oracle.
+CLOSED_FORM_CASES = [
+    (ErrorDistribution("standard_normal"), stats.norm()),
+    (ErrorDistribution("shifted_exponential", 2.0), stats.expon(loc=-0.5, scale=0.5)),
+    (ErrorDistribution("shifted_exponential", 0.7), stats.expon(loc=-1 / 0.7, scale=1 / 0.7)),
+    (ErrorDistribution("uniform_centered", 3.0), stats.uniform(loc=-1.5, scale=3.0)),
+    (ErrorDistribution("uniform_centered", 1.0), stats.uniform(loc=-0.5, scale=1.0)),
+]
 
 
 class TestErrorDistribution:
@@ -58,6 +69,48 @@ class TestErrorDistribution:
         for a in (0.9, 0.95):
             closed = norm.pdf(norm.ppf(a)) / (1 - a)
             assert dist.true_functional("cvar", a) == pytest.approx(closed, abs=1e-8)
+
+    @pytest.mark.parametrize("dist,law", CLOSED_FORM_CASES)
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99])
+    def test_cvar_truth_matches_quadrature(self, dist, law, alpha):
+        tail, _ = quad(law.ppf, alpha, 1.0, epsabs=0.0, epsrel=1e-12, limit=500)
+        assert dist.true_functional("cvar", alpha) == pytest.approx(
+            tail / (1.0 - alpha), rel=1e-9)
+
+    @pytest.mark.parametrize("dist,law", CLOSED_FORM_CASES)
+    @pytest.mark.parametrize("gamma", [-2.0, -0.6, -0.2, 0.0, 0.4, 1.2])
+    def test_mean_excess_truth_matches_quadrature(self, dist, law, gamma):
+        lo, hi = law.support()
+        if gamma >= hi:
+            with pytest.raises(DomainError):
+                dist.true_functional("mean_excess", gamma)
+            return
+        start = max(gamma, lo)
+        excess, _ = quad(lambda z: (z - gamma) * law.pdf(z), start, hi,
+                         epsabs=0.0, epsrel=1e-12, limit=500)
+        assert dist.true_functional("mean_excess", gamma) == pytest.approx(
+            excess / law.sf(gamma), rel=1e-9)
+
+    def test_mean_excess_far_threshold(self):
+        with pytest.raises(DomainError):
+            ErrorDistribution("standard_normal").true_functional("mean_excess", 40.0)
+        with pytest.raises(DomainError):
+            ErrorDistribution("uniform_centered", 2.0).true_functional("mean_excess", 1.0)
+
+    def test_exponential_cdf_is_zero_below_support(self):
+        dist = ErrorDistribution("shifted_exponential", 2.0)
+        assert dist.cdf(np.array([-3.0, -0.5, 0.0])) == pytest.approx(
+            [0.0, 0.0, 1.0 - np.exp(-1.0)], abs=1e-15)
+
+    def test_normal_cdf_keeps_lower_tail_precision(self):
+        z = np.array([-30.0, -10.0, 0.0, 3.0])
+        assert ErrorDistribution("standard_normal").cdf(z) == pytest.approx(
+            norm.cdf(z), rel=1e-13)
+
+    def test_quantile_accepts_arrays_and_ends(self):
+        q = ErrorDistribution("standard_normal").quantile(np.array([0.0, 0.5, 0.975, 1.0]))
+        assert q[0] == -np.inf and q[1] == 0.0 and q[3] == np.inf
+        assert q[2] == pytest.approx(norm.ppf(0.975), rel=1e-14)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(DomainError):
