@@ -98,8 +98,34 @@ def _raise_bad_row(path: str, body: str, cols: list[int]) -> None:
             raise CliError("input", f"{path}: row {lineno}: bad numeric cell ({exc})") from exc
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
+
+    The indenting encoder is pure Python and slow on long lists, so a 1-D
+    ndarray leaf is written by one call of the C encoder, with separators
+    that reproduce the indented layout.  Dictionaries and lists are walked
+    here; every other value goes to ``json.dumps`` (JSON text holds no raw
+    newline, so indenting its lines is safe).
+    """
+    inner = indent + "  "
+    if isinstance(value, np.ndarray):
+        if value.ndim == 1 and value.size:
+            body = json.dumps(value.tolist(), separators=(",\n" + inner, ": "))
+            return "[\n" + inner + body[1:-1] + "\n" + indent + "]"
+        value = value.tolist()
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        ends = "{}"
+    elif isinstance(value, list) and value:
+        items = [_json_text(v, inner) for v in value]
+        ends = "[]"
+    else:
+        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
+
+
 def _dump(payload, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -136,7 +162,7 @@ def run_fit(args) -> None:
         "dispersion": dispersion,
         "two_step_intercepts": intercepts,
         "nuisance_estimate": proc.nuisance_estimate,
-        "averaged_process": [float(v) for v in proc.sorted_adjusted],
+        "averaged_process": proc.sorted_adjusted,
         "design_diagnostics": {
             "max_centered_norm": diag.max_centered_norm,
             "max_leverage": diag.max_leverage,

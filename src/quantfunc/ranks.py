@@ -11,6 +11,7 @@ estimates the slopes without touching the nuisance location.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,28 +44,35 @@ class REstimate:
     iterations: int
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties broken by original index (stable)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=float)
-    ranks[order] = np.arange(1, values.shape[0] + 1)
-    return ranks
+def _scores(r: np.ndarray, lam: float) -> np.ndarray:
+    """Scores ``clip(R_i - n*lambda, 0, 1)`` by selection instead of ranking.
 
-
-def score_function(u, lam: float):
-    """Step score generator: 0 on [0, lambda), 1 on [lambda, 1], shifted to mean zero.
-
-    Any nondecreasing square-integrable function works as a generator; this
-    two-valued step is the one whose induced rank scores are used throughout.
+    ``R_i`` is the rank of ``r_i`` with ties broken by index.  Only the
+    ``(k+1)``-th order statistic t, k = floor(n*lambda), decides a score:
+    values above t score 1, values below t score 0, and among the values
+    equal to t, in index order, the one of rank k + 1 scores
+    ``k + 1 - n*lambda``, later ones 1 and earlier ones 0.  This is the rank
+    formula bit for bit, in O(n).
     """
-    u = np.asarray(u, dtype=float)
-    return np.where(u < lam, 0.0, 1.0) - (1.0 - lam)
+    n = r.shape[0]
+    nl = n * lam
+    k = int(nl)
+    if k >= n:  # n*lambda rounded up to n: every rank is at most n*lambda
+        return np.zeros(n)
+    t = np.partition(r, k)[k]
+    scores = (r > t).astype(float)
+    ties = np.flatnonzero(r == t)
+    if ties.size:  # empty only when t is NaN, which makes the dispersion NaN
+        j = k - int(np.count_nonzero(r < t))
+        scores[ties[j]] = (k + 1) - nl  # in (0, 1], so the clip is the identity
+        scores[ties[j + 1:]] = 1.0
+    return scores
 
 
 def hajek_scores(residuals, lam: float) -> RankScoreVector:
     """Piecewise-linear rank scores in [0, 1] for a residual vector.
 
-    With R_i the rank of residual i:
+    With R_i the rank of residual i (ties broken by index):
     0 below n*lambda, R_i - n*lambda on [n*lambda, n*lambda + 1), else 1.
     """
     if not 0.0 < lam < 1.0:
@@ -74,23 +82,30 @@ def hajek_scores(residuals, lam: float) -> RankScoreVector:
         raise DataError("residuals must be a nonempty vector")
     if not np.all(np.isfinite(r)):
         raise DataError("non-finite residuals")
-    n = r.shape[0]
-    ranks = _ranks(r)
-    nl = n * lam
-    scores = np.clip(ranks - nl, 0.0, 1.0)
+    scores = _scores(r, lam)
     return RankScoreVector(lam=lam, scores=scores, mean_score=float(scores.mean()))
 
 
 def jaeckel_dispersion(b, ds: Dataset, lam: float) -> float:
-    """Rank-weighted residual spread ``sum r_i (a_i - a_bar)`` at slopes b."""
+    """Rank-weighted residual spread ``sum r_i (a_i - a_bar)`` at slopes b.
+
+    Only ``b`` and ``lam`` are checked: a :class:`Dataset` is finite, and
+    slopes so large that the residuals overflow give a non-finite spread,
+    which raises :class:`DataError`.
+    """
     if ds.p == 0:
         raise DataError("dispersion needs at least one covariate (p >= 1)")
     b = np.asarray(b, dtype=float)
     if b.shape != (ds.p,):
         raise DataError(f"b must have length {ds.p}")
+    if not 0.0 < lam < 1.0:
+        raise DomainError(f"lambda must be in (0, 1), got {lam}")
     residuals = ds.y - ds.x @ b
-    sv = hajek_scores(residuals, lam)
-    return float(residuals @ (sv.scores - sv.mean_score))
+    scores = _scores(residuals, lam)
+    d = float(residuals @ (scores - scores.mean()))
+    if not math.isfinite(d):
+        raise DataError(f"non-finite dispersion at b = {b.tolist()}")
+    return d
 
 
 def jaeckel_dispersion_centered(b, ds: Dataset, lam: float) -> float:

@@ -58,8 +58,9 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
     amat = np.zeros((n, nvars))
     amat[:, :q] = a_design
     amat[:, q:2 * q] = -a_design
-    amat[:, 2 * q:2 * q + n] = np.eye(n)
-    amat[:, 2 * q + n:] = -np.eye(n)
+    rows = np.arange(n)
+    amat[rows, 2 * q + rows] = 1.0
+    amat[rows, 2 * q + n + rows] = -1.0
     c = np.concatenate([np.zeros(2 * q), np.full(n, alpha), np.full(n, 1.0 - alpha)])
 
     b = ds.y.copy()
@@ -116,31 +117,6 @@ def check_loss_objective(ds: Dataset, alpha: float, beta0: float, beta) -> float
     beta = np.asarray(beta, dtype=float)
     residuals = ds.y - beta0 - (ds.x @ beta if ds.p else 0.0)
     return float(np.sum(check_loss_vec(residuals, alpha)))
-
-
-def directional_derivative(ds: Dataset, alpha: float, beta0: float, beta,
-                           direction) -> float:
-    """Exact one-sided derivative of the objective along a coefficient direction.
-
-    ``direction`` has length p + 1 (intercept first).  Nonnegative values in
-    every direction certify optimality without trusting the solver.
-    """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (ds.p + 1,):
-        raise DataError(f"direction must have length {ds.p + 1}")
-    a_design = _augmented_design(ds)
-    beta_full = np.concatenate([[beta0], np.atleast_1d(np.asarray(beta, dtype=float))])
-    r = ds.y - a_design @ beta_full
-    rdot = -(a_design @ d)
-    scale = 1.0 + float(np.max(np.abs(r)))
-    tol = RESIDUAL_ZERO_TOL * scale
-    pos = r > tol
-    neg = r < -tol
-    kink = ~pos & ~neg
-    deriv = alpha * np.sum(rdot[pos]) + (alpha - 1.0) * np.sum(rdot[neg])
-    rk = rdot[kink]
-    deriv += alpha * np.sum(rk[rk > 0]) + (alpha - 1.0) * np.sum(rk[rk < 0])
-    return float(deriv)
 
 
 def averaged_regression_quantile(fit: QuantileFit, ds: Dataset) -> float:

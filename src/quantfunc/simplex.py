@@ -25,7 +25,9 @@ def solve_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
     ----------
     c, a, b : arrays
         Cost vector (m_vars,), constraint matrix (m_cons, m_vars) and
-        right-hand side (m_cons,) with ``b >= 0``.
+        right-hand side (m_cons,) with ``b >= 0``.  The pivots are made on
+        ``a`` and ``b`` in place, so float arrays passed here are overwritten
+        and no second tableau is held.
     basis : list of int
         Column indices of an initial basic feasible solution; the
         corresponding submatrix of ``a`` must be the identity.
@@ -42,36 +44,38 @@ def solve_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
     if max_iter is None:
         max_iter = 50 * (m + nvars) + 1000
 
-    # Tableau rows: constraints with RHS in the last column.
-    tab = np.hstack([a, b.reshape(-1, 1)])
     basis = list(basis)
     # Reduced costs for the current basis (basis columns are the identity).
-    red = c - c[basis] @ tab[:, :nvars]
+    red = c - c[basis] @ a
 
     for _ in range(max_iter):
         entering_candidates = np.nonzero(red < -COST_TOL)[0]
         if entering_candidates.size == 0:
             x = np.zeros(nvars)
-            x[basis] = tab[:, -1]
+            x[basis] = b
             return x, float(c @ x)
         j = int(entering_candidates[0])  # Bland: smallest index
 
-        col = tab[:, j]
+        col = a[:, j]
         rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
             raise SolverFailure("LP is unbounded below")
-        ratios = tab[rows, -1] / col[rows]
+        ratios = b[rows] / col[rows]
         rmin = ratios.min()
         # Bland: among minimizing rows, leave the basic variable of smallest index.
         tie_rows = rows[ratios <= rmin + PIVOT_TOL * (1.0 + abs(rmin))]
         r = int(min(tie_rows, key=lambda i: basis[i]))
 
-        piv = tab[r, j]
-        tab[r] /= piv
-        for i in range(m):
-            if i != r and tab[i, j] != 0.0:
-                tab[i] -= tab[i, j] * tab[r]
-        red = red - red[j] * tab[r, :nvars]
+        piv = a[r, j]
+        a[r] /= piv
+        b[r] /= piv
+        factors = a[:, j].copy()
+        factors[r] = 0.0
+        hit = factors != 0.0
+        b[hit] -= factors[hit] * b[r]
+        for i in np.flatnonzero(hit):
+            a[i] -= factors[i] * a[r]
+        red = red - red[j] * a[r]
         basis[r] = j
 
     raise SolverFailure("simplex iteration limit reached")

@@ -67,7 +67,7 @@ def two_step_quantile(ds: Dataset, alpha: float, lam: float = 0.5,
         slopes = _slopes(ds, lam)
     residuals = ds.y - (ds.x @ slopes if ds.p else 0.0)
     k = order_index(alpha, ds.n).index
-    intercept = float(np.sort(residuals)[k - 1])
+    intercept = float(np.partition(residuals, k - 1)[k - 1])
     return TwoStepQuantile(alpha=alpha, lam=lam, intercept=intercept,
                            slopes=np.asarray(slopes, dtype=float))
 

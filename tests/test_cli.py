@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from quantfunc.cli import main
+from quantfunc.cli import _json_text, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -63,6 +63,30 @@ class TestFit:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "alpha_breakpoint,value"
         assert len(lines) == 6
+
+
+class TestReportText:
+    """The report writer gives the bytes of the indenting encoder."""
+
+    @pytest.mark.parametrize("payload", [
+        {"b": np.array([0.1, -2.5e-300, float("nan"), float("inf"), 3.0]),
+         "a": {"deep": np.array([1.0]), "empty": np.array([]),
+               "grid": np.arange(4.0).reshape(2, 2), "list": [1, [2, {"z": None}]]},
+         "c": [], "d": {}, "e": "\u00e9\n\"", "f": np.float64(0.3), "g": True},
+        [{"x": np.array([1.5, 2.5])}, {"y": 1}, []],
+        np.array([7.0, 8.0]),
+        "plain",
+    ])
+    def test_equal_to_json_dumps(self, payload):
+        def plain(v):
+            if isinstance(v, np.ndarray):
+                return v.tolist()
+            if isinstance(v, dict):
+                return {k: plain(w) for k, w in v.items()}
+            if isinstance(v, list):
+                return [plain(w) for w in v]
+            return v
+        assert _json_text(payload) == json.dumps(plain(payload), sort_keys=True, indent=2)
 
 
 class TestFunctional:

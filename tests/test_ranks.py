@@ -1,11 +1,59 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from quantfunc import (Dataset, DataError, DomainError, fit_r_estimator,
                        hajek_scores, jaeckel_dispersion,
                        jaeckel_dispersion_centered)
+from quantfunc.cli import read_csv_dataset
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties broken by original index (stable)."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.shape[0], dtype=float)
+    ranks[order] = np.arange(1, values.shape[0] + 1)
+    return ranks
+
+
+def oracle_scores(values: np.ndarray, lam: float) -> np.ndarray:
+    """The rank formula of the Hajek scores, by a full stable sort."""
+    return np.clip(_ranks(values) - values.shape[0] * lam, 0.0, 1.0)
+
+
+def oracle_dispersion(b, ds, lam: float) -> float:
+    residuals = ds.y - ds.x @ np.asarray(b, dtype=float)
+    scores = oracle_scores(residuals, lam)
+    return float(residuals @ (scores - float(scores.mean())))
+
+
+# Few distinct values, so that ties (and ties at the selected order
+# statistic) are common; signed zeros are ties too.
+tied_vectors = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0]),
+                        min_size=1, max_size=40).map(np.array)
+float_vectors = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
+                         max_size=40).map(np.array)
+# Levels in the open interval, including both ends' neighbours.
+levels = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([5e-324, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0 ** -53]))
+
+
+@st.composite
+def whole_n_lambda(draw):
+    """A vector whose length n is a power of two and a level m/n, so that
+    n * lambda is exactly the whole number m."""
+    n = 2 ** draw(st.integers(0, 5))
+    m = draw(st.integers(1, n - 1)) if n > 1 else 1
+    lam = m / n if n > 1 else 0.5
+    values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                           min_size=n, max_size=n))
+    return np.array(values), lam
 
 
 def grid_refine_minimum(ds, lam, lo=-10.0, hi=10.0):
@@ -65,6 +113,23 @@ class TestHajekScores:
                  for _ in range(10)}
         assert max(means) - min(means) < 1e-12
 
+    @given(values=st.one_of(tied_vectors, float_vectors), lam=levels)
+    def test_equal_to_the_rank_formula_bitwise(self, values, lam):
+        got = hajek_scores(values, lam).scores
+        assert got.tobytes() == oracle_scores(values, lam).tobytes()
+
+    @given(case=whole_n_lambda())
+    def test_equal_to_the_rank_formula_at_whole_n_lambda(self, case):
+        values, lam = case
+        got = hajek_scores(values, lam).scores
+        assert got.tobytes() == oracle_scores(values, lam).tobytes()
+
+    def test_tied_scores_follow_index_order(self):
+        # n*lambda = 1.5: the stable ranks of the four 2.0s are 2..5, so the
+        # first tie scores 0.5 and the later ones 1.
+        sv = hajek_scores(np.array([2.0, 1.0, 2.0, 2.0, 2.0]), 0.3)
+        assert sv.scores.tolist() == [0.5, 0.0, 1.0, 1.0, 1.0]
+
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             hajek_scores(np.array([1.0, np.inf]), 0.5)
@@ -107,6 +172,34 @@ class TestJaeckelDispersion:
         ds = Dataset(y=np.arange(4.0), x=np.zeros((4, 0)))
         with pytest.raises(DataError):
             jaeckel_dispersion(np.zeros(0), ds, 0.5)
+
+    @given(data=st.data(), lam=levels)
+    def test_equal_to_the_oracle_formula_bitwise(self, data, lam):
+        p = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(p + 2, 30))
+        # Small whole numbers make tied residuals common.
+        y = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
+        x = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=n * p,
+                                        max_size=n * p)), float).reshape(n, p)
+        b = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 0.3]),
+                                        min_size=p, max_size=p)))
+        ds = Dataset(y=y, x=x)
+        assert jaeckel_dispersion(b, ds, lam) == oracle_dispersion(b, ds, lam)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_slopes_raise(self):
+        with pytest.raises(DataError):
+            jaeckel_dispersion(np.array([1e308]), self.ds4(), 0.5)
+        # inf - inf makes NaN residuals, here at the selected order statistic
+        x = np.array([[2.0, -2.0], [3.0, -3.0], [4.0, -4.0], [1.0, 0.0]])
+        ds = Dataset(y=np.arange(4.0), x=x)
+        with pytest.raises(DataError):
+            jaeckel_dispersion(np.array([1e308, 1e308]), ds, 0.5)
+
+    def test_rejects_bad_lambda(self):
+        with pytest.raises(DomainError):
+            jaeckel_dispersion(np.array([0.0]), self.ds4(), 1.0)
 
     def test_convex_along_segments(self):
         rng = np.random.default_rng(4)
@@ -175,6 +268,14 @@ class TestFitREstimator:
         ds = Dataset(y=np.arange(5.0), x=np.zeros((5, 0)))
         with pytest.raises(DataError):
             fit_r_estimator(ds, 0.5)
+
+    def test_search_path_of_the_golden_fit_is_pinned(self):
+        # The n200 fit takes this many dispersion evaluations to this exact
+        # dispersion; a change in any evaluation would move the search path.
+        ds = read_csv_dataset(os.path.join(FIXTURES, "n200.csv"), "y", ["x1", "x2"])
+        est = fit_r_estimator(ds, 0.5)
+        assert est.iterations == 452
+        assert est.dispersion.hex() == "0x1.5c9c5204e5ba3p+6"
 
     def test_singular_design_rejected(self):
         from quantfunc import IdentifiabilityError

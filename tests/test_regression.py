@@ -1,10 +1,33 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quantfunc import (Dataset, DomainError, IdentifiabilityError,
                        averaged_regression_quantile, check_loss_objective,
                        empirical_quantile_process, fit_regression_quantile)
-from quantfunc.regression import directional_derivative
+from quantfunc.regression import RESIDUAL_ZERO_TOL
+
+
+def directional_derivative(ds, alpha, beta0, beta, direction):
+    """Exact one-sided derivative of the objective along a coefficient direction.
+
+    ``direction`` has length p + 1 (intercept first).  Nonnegative values in
+    every direction certify optimality without trusting the solver.
+    """
+    d = np.asarray(direction, dtype=float)
+    a_design = np.hstack([np.ones((ds.n, 1)), ds.x])
+    beta_full = np.concatenate([[beta0], np.atleast_1d(np.asarray(beta, dtype=float))])
+    r = ds.y - a_design @ beta_full
+    rdot = -(a_design @ d)
+    tol = RESIDUAL_ZERO_TOL * (1.0 + float(np.max(np.abs(r))))
+    pos = r > tol
+    neg = r < -tol
+    kink = ~pos & ~neg
+    deriv = alpha * np.sum(rdot[pos]) + (alpha - 1.0) * np.sum(rdot[neg])
+    rk = rdot[kink]
+    deriv += alpha * np.sum(rk[rk > 0]) + (alpha - 1.0) * np.sum(rk[rk < 0])
+    return float(deriv)
 
 
 def brute_force_objective(ds, alpha):
@@ -86,6 +109,22 @@ class TestFitRegressionQuantile:
                 continue
             fit = fit_regression_quantile(ds, alpha)
             assert fit.beta0_hat == empirical_quantile_process(y)(alpha)
+
+    def test_holds_one_tableau(self):
+        # The simplex pivots on the constraint matrix in place: the traced
+        # peak stays near one n x (2n + 2q + 1) tableau, not two.
+        rng = np.random.default_rng(35)
+        n, p = 400, 2
+        x = rng.uniform(size=(n, p))
+        ds = Dataset(y=1.0 + x.sum(axis=1) + rng.standard_normal(n), x=x)
+        tableau = n * (2 * n + 2 * (p + 1) + 1) * 8
+        tracemalloc.start()
+        try:
+            fit_regression_quantile(ds, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * tableau
 
 
 class TestEquivariance:
