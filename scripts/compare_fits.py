@@ -6,16 +6,16 @@ Runs one fixed set of fits under each tree, each in a fresh interpreter
 with PYTHONPATH set to the tree, and compares the results as float hex
 strings:
 
-- R-estimator slopes, dispersions and evaluation counts at n = 2e4 for
+- R-estimator slopes, dispersions and iteration counts at n = 2e4 for
   p = 1, 2, 5 (the ``fit_large`` datasets), on the Monte Carlo designs at
   n = 100, 400, 1600, and on small random and tied datasets;
 - dispersions and Hajek scores at fixed slopes, tied residuals included;
-- two-step intercepts on a grid of levels;
+- two-step intercepts on a grid of levels, at the true slopes;
 - the simplex vertex and the regression-quantile coefficients at n = 400,
   p = 2, and on tied data.
 
-Prints one line per differing case and a summary; exits 1 on any
-difference.  Takes about a minute.
+Prints one line per differing case and a summary that counts the
+differing cases of each kind; exits 1 on any difference.  Takes about a minute.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def emit() -> dict:
         x = rng.uniform(0.0, 1.0, (20_000, p))
         y = 1.0 + x @ np.arange(1.0, p + 1.0) + rng.standard_normal(20_000)
         ds = qf.Dataset(y=y, x=x)
-        b = r_fit(f"fit_large p={p}", ds, 0.5)
+        r_fit(f"fit_large p={p}", ds, 0.5)
+        b = np.arange(1.0, p + 1.0)
         out[f"intercepts p={p}"] = _hex([qf.two_step_quantile(ds, a, 0.5, slopes=b).intercept
                                          for a in alphas])
     for n in (100, 400, 1600):
@@ -120,9 +121,17 @@ def main(argv: list[str]) -> int:
     differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     for key in differ:
         print(f"DIFFERS {key}: {old.get(key)} != {new.get(key)}")
-    evals = sum(v["iterations"] for v in new.values() if isinstance(v, dict) and "iterations" in v)
-    print(f"{len(old.keys() | new.keys())} cases, {len(differ)} differ; "
-          f"{evals} dispersion evaluations in the new tree's R-fits")
+    iterations = sum(v["iterations"] for v in new.values()
+                     if isinstance(v, dict) and "iterations" in v)
+    kinds = {}
+    for key in sorted(old.keys() | new.keys()):
+        kind = "R-fit" if key.split()[0] in ("fit_large", "monte_carlo", "random", "tied") \
+            else key.split()[0]
+        kinds.setdefault(kind, [0, 0])[0] += 1
+        kinds[kind][1] += key in differ
+    print(f"{len(old.keys() | new.keys())} cases, {len(differ)} differ ("
+          + ", ".join(f"{kind} {d} of {c}" for kind, (c, d) in kinds.items())
+          + f"); {iterations} iterations in the new tree's R-fits")
     return 1 if differ else 0
 
 

@@ -14,8 +14,7 @@ from .model import (Dataset, DesignDiagnostics, OrderStatisticIndex,
 from .regression import (QuantileFit, averaged_regression_quantile,
                          check_loss_objective, fit_regression_quantile)
 from .ranks import (RankScoreVector, REstimate, fit_r_estimator,
-                    hajek_scores, jaeckel_dispersion,
-                    jaeckel_dispersion_centered)
+                    hajek_scores, jaeckel_dispersion)
 from .two_step import (AveragedTwoStepProcess, TwoStepQuantile,
                        averaged_two_step_process, centered_process,
                        two_step_quantile)

@@ -136,13 +136,8 @@ def _dump(payload, path: str | None) -> None:
 def run_fit(args) -> None:
     ds = read_csv_dataset(args.input, args.response, args.covariates)
     lam = args.lam
-    if ds.p > 0:
-        est = fit_r_estimator(ds, lam)
-        slopes = est.beta_tilde
-        dispersion = est.dispersion
-    else:
-        slopes = np.zeros(0)
-        dispersion = None
+    est = fit_r_estimator(ds, lam) if ds.p else None
+    slopes = est.beta_tilde if est else np.zeros(0)
     proc = averaged_two_step_process(ds, lam, slopes=slopes)
     diag = design_diagnostics(ds)
     intercepts = {
@@ -159,7 +154,7 @@ def run_fit(args) -> None:
         "n": ds.n,
         "p": ds.p,
         "slopes": [float(s) for s in slopes],
-        "dispersion": dispersion,
+        "dispersion": est.dispersion if est else None,
         "two_step_intercepts": intercepts,
         "nuisance_estimate": proc.nuisance_estimate,
         "averaged_process": proc.sorted_adjusted,
@@ -181,8 +176,11 @@ def run_functional(args) -> None:
         raise CliError("config", "--level is required for a functional run")
     ds = read_csv_dataset(args.input, args.response, args.covariates)
     if ds.p == 0:
-        proc = empirical_quantile_process(ds.y)
-        source = "empirical"
+        proc, source = empirical_quantile_process(ds.y), "empirical"
+    elif args.functional in ("lorenz", "gastwirth_j"):
+        # Shares of a total: the centred process has mean zero.
+        proc = StepQuantileProcess(averaged_two_step_process(ds, args.lam).sorted_adjusted)
+        source = "averaged_two_step"
     else:
         proc = centered_process(averaged_two_step_process(ds, args.lam))
         source = "centered_two_step"

@@ -9,7 +9,6 @@ exact ``n * alpha`` of :func:`~quantfunc.model.scaled_level`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -34,18 +33,6 @@ class FunctionalEstimate:
     level: float
     value: float
     n: int
-
-    def to_json(self, lam: float | None = None, process_source: str = "") -> str:
-        """Fixed-field JSON report used by the command-line surface."""
-        payload = {
-            "kind": self.kind,
-            "level": self.level,
-            "value": self.value,
-            "n": self.n,
-            "lambda": lam,
-            "process_source": process_source,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def quad(weight, n: int) -> np.ndarray:

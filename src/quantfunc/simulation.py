@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Dataset, order_index
-from .two_step import averaged_two_step_process, centered_process
+from .two_step import _slopes, averaged_two_step_process, centered_process
 from . import functionals as fn
 
 ERROR_DISTS = ("standard_normal", "shifted_exponential", "uniform_centered")
@@ -255,13 +255,6 @@ def _summarize(metric, n_grid, errors_by_n, coverage_c) -> RateReport:
                       coverage=tuple(coverage), mean_error=tuple(mean_err))
 
 
-def _slopes_for(ds: Dataset, lam: float) -> np.ndarray:
-    if ds.p == 0:
-        return np.zeros(0)
-    from .ranks import fit_r_estimator
-    return fit_r_estimator(ds, lam).beta_tilde
-
-
 def rate_study_two_step(config: SimulationConfig,
                         coverage_c: float = DEFAULT_COVERAGE_C) -> list[RateReport]:
     """Sup-over-alpha closeness of the averaged two-step process to the error
@@ -279,7 +272,7 @@ def rate_study_two_step(config: SimulationConfig,
         idx = np.array([order_index(a, n).index for a in config.alphas])
         for rep in range(config.replications):
             ds, z = generate(config, n, rep)
-            slopes = _slopes_for(ds, config.lam)
+            slopes = _slopes(ds, config.lam)
             proc = averaged_two_step_process(ds, config.lam, slopes=slopes)
             b_vals = proc.sorted_adjusted[idx - 1]
             z_sorted = np.sort(z)[idx - 1]
@@ -305,7 +298,7 @@ def rate_study_r_estimator(config: SimulationConfig,
         errs = []
         for rep in range(config.replications):
             ds, _ = generate(config, n, rep)
-            slopes = _slopes_for(ds, config.lam)
+            slopes = _slopes(ds, config.lam)
             errs.append(float(np.linalg.norm(slopes - beta)))
         errors_by_n.append(errs)
     return _summarize("r_estimator_norm_error", config.n_grid, errors_by_n, coverage_c)
@@ -322,7 +315,7 @@ def functional_consistency_study(config: SimulationConfig, kind: str, level: flo
         errs = []
         for rep in range(config.replications):
             ds, _ = generate(config, n, rep)
-            slopes = _slopes_for(ds, config.lam)
+            slopes = _slopes(ds, config.lam)
             proc = centered_process(averaged_two_step_process(ds, config.lam, slopes=slopes))
             errs.append(estimator(proc, level).value - truth)
         errors_by_n.append(errs)

@@ -1,0 +1,193 @@
+"""The check-loss LP behind the rank-based slopes, against independent oracles.
+
+``regression._certified_vertex`` returns the vertex of the lambda-regression
+quantile LP whose slope part ``fit_r_estimator`` reports.  HiGHS (scipy, from
+the ``test`` extra) and the enumeration of all interpolating vertices are the
+oracles; neither shares code with the interior point or its pivots.
+"""
+
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from itertools import combinations
+
+import numpy as np
+import pytest
+from scipy.optimize import linprog
+
+import quantfunc.regression as regression
+from quantfunc import Dataset, SolverFailure, fit_r_estimator, jaeckel_dispersion
+from quantfunc.regression import _certified_vertex
+
+RTOL = 1e-12
+
+
+def check_loss(y, x, coef, tau):
+    r = y - coef[0] - x @ coef[1:]
+    return math.fsum(np.where(r < 0.0, (tau - 1.0) * r, tau * r))
+
+
+def highs_optimum(y, x, tau):
+    """Minimum check loss: HiGHS on the primal LP, its vertex re-solved from
+    the q observations it fits most closely."""
+    n, q = y.size, x.shape[1] + 1
+    design = np.column_stack([np.ones(n), x])
+    cost = np.concatenate([np.zeros(q), np.full(n, tau), np.full(n, 1.0 - tau)])
+    res = linprog(cost, A_eq=np.hstack([design, np.eye(n), -np.eye(n)]), b_eq=y,
+                  bounds=[(None, None)] * q + [(0.0, None)] * (2 * n), method="highs")
+    assert res.status == 0, res.message
+    rows = []
+    for i in np.argsort(np.abs(y - design @ res.x[:q]), kind="stable"):
+        if np.linalg.matrix_rank(design[rows + [i]]) > len(rows):
+            rows.append(int(i))
+            if len(rows) == q:
+                break
+    polished = np.linalg.solve(design[rows], y[rows])
+    return min(check_loss(y, x, res.x[:q], tau), check_loss(y, x, polished, tau))
+
+
+def enumerated_optimum(y, x, tau):
+    """Minimum check loss over every vertex: each fit through q observations."""
+    n, q = y.size, x.shape[1] + 1
+    design = np.column_stack([np.ones(n), x])
+    return min(check_loss(y, x, np.linalg.solve(design[list(h)], y[list(h)]), tau)
+               for h in combinations(range(n), q)
+               if np.linalg.matrix_rank(design[list(h)]) == q)
+
+
+def assert_optimal_vertex(y, x, tau, oracle=highs_optimum):
+    coef, _ = _certified_vertex(Dataset(y=y, x=x), tau)
+    assert check_loss(y, x, coef, tau) == pytest.approx(oracle(y, x, tau),
+                                                        rel=RTOL, abs=1e-12)
+    r = y - coef[0] - x @ coef[1:]
+    assert np.count_nonzero(np.abs(r) <= 1e-9 * (1.0 + np.max(np.abs(y)))) >= x.shape[1] + 1
+    return coef
+
+
+def uniform_design_set(seed, p=2, n=60):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, p))
+    return 1.0 + x.sum(axis=1) + rng.standard_normal(n), x
+
+
+def tied_integer_sets():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        p = int(rng.integers(1, 4))
+        n = int(rng.integers(6, 61))
+        y = rng.integers(0, 5, n).astype(float)
+        x = rng.integers(0, 4, (n, p)).astype(float)
+        yield y, x
+
+
+@pytest.mark.parametrize("seed", range(100, 140))
+def test_sixty_row_sets_reach_the_optimum(seed):
+    # Derivative-free searches over the dispersion stop above the optimum on
+    # most of these 40 datasets.
+    y, x = uniform_design_set(seed)
+    coef = assert_optimal_vertex(y, x, 0.5)
+    est = fit_r_estimator(Dataset(y=y, x=x), 0.5)
+    assert est.beta_tilde.tolist() == coef[1:].tolist()
+    assert est.dispersion == pytest.approx(check_loss(y, x, coef, 0.5), rel=1e-13)
+
+
+def test_five_covariate_set_reaches_the_optimum():
+    rng = np.random.default_rng(136)
+    x = rng.uniform(0.0, 1.0, (60, 5))
+    y = rng.standard_normal(60)
+    est = fit_r_estimator(Dataset(y=y, x=x), 0.5)
+    coef = assert_optimal_vertex(y, x, 0.5)
+    assert est.beta_tilde.tolist() == coef[1:].tolist()
+
+
+def test_every_tied_integer_set_is_certified():
+    certified = 0
+    for y, x in tied_integer_sets():
+        assert_optimal_vertex(y, x, 0.5)
+        certified += 1
+    assert certified == 300
+
+
+def test_duplicated_rows():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        p = int(rng.integers(1, 4))
+        m = int(rng.integers(p + 2, 15))
+        copies = rng.integers(1, 4, m)
+        x = np.repeat(rng.standard_normal((m, p)), copies, axis=0)
+        y = np.repeat(rng.standard_normal(m), copies)
+        assert_optimal_vertex(y, x, float(rng.uniform(0.1, 0.9)))
+
+
+@pytest.mark.parametrize("n, p, lam", [(61, 2, 0.5), (97, 3, 0.37)])
+def test_level_with_fractional_n_lambda(n, p, lam):
+    y, x = uniform_design_set(n, p=p, n=n)
+    coef = assert_optimal_vertex(y, x, lam)
+    # With the Hajek scores the dispersion is the profiled check loss even
+    # when n * lam is not whole.
+    assert jaeckel_dispersion(coef[1:], Dataset(y=y, x=x), lam) == pytest.approx(
+        check_loss(y, x, coef, lam), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matches_vertex_enumeration(p):
+    rng = np.random.default_rng(20 + p)
+    for _ in range(10):
+        x = rng.uniform(0.0, 1.0, (9, p))
+        y = x @ np.arange(1.0, p + 1.0) + rng.standard_normal(9)
+        for tau in (0.25, 0.5, 0.8):
+            assert_optimal_vertex(y, x, tau, oracle=enumerated_optimum)
+
+
+def test_an_uncertified_vertex_is_never_returned(monkeypatch):
+    # Without interior-point iterations the dual bound is the trivial d = 0,
+    # which no vertex of positive loss meets: the pivots end at the optimum,
+    # and the fit raises with that vertex instead of returning it.
+    y, x = uniform_design_set(100)
+    want = highs_optimum(y, x, 0.5)
+    monkeypatch.setattr(regression, "_IPM_MAX_ITER", 0)
+    with pytest.raises(SolverFailure) as info:
+        fit_r_estimator(Dataset(y=y, x=x), 0.5)
+    assert check_loss(y, x, info.value.best, 0.5) == pytest.approx(want, rel=RTOL)
+
+
+def test_traced_peak_stays_linear_and_lean():
+    # An n x q temporary, or a normal matrix built from one, would show here.
+    n = 20_000
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (n, 5))
+    ds = Dataset(y=x.sum(axis=1) + rng.standard_normal(n), x=x)
+    tracemalloc.start()
+    try:
+        fit_r_estimator(ds, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * n
+
+
+FIT_HASH_SCRIPT = """
+import hashlib, numpy as np
+from quantfunc import Dataset, fit_r_estimator
+h = hashlib.sha256()
+for seed, n, p in [([0, 1], 20000, 1), ([0, 2], 20000, 2), ([0, 5], 20000, 5),
+                   *[(s, 60, 2) for s in range(100, 140)]]:
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, p))
+    ds = Dataset(y=x.sum(axis=1) + rng.standard_normal(n), x=x)
+    h.update(fit_r_estimator(ds, 0.5).beta_tilde.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_fits_are_bitwise_equal_across_blas_thread_counts():
+    digests = set()
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", FIT_HASH_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from quantfunc.cli import _json_text, main
+from quantfunc import StepQuantileProcess, averaged_two_step_process, lorenz
+from quantfunc.cli import _json_text, main, read_csv_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -123,6 +124,40 @@ class TestFunctional:
             assert code == 0
             outs.append(json.loads(out)["value"])
         assert outs[0] == outs[1]
+
+    def test_lorenz_with_covariates_reads_the_uncentred_process(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0.0, 1.0, (80, 2))
+        y = 5.0 + x @ [1.0, -0.5] + rng.uniform(0.0, 1.0, 80)
+        path = tmp_path / "positive.csv"
+        path.write_text("x1,x2,y\n" + "".join(",".join(map(repr, row)) + "\n"
+                                              for row in np.c_[x, y].tolist()))
+        for functional in ("lorenz", "gastwirth_j"):
+            code, out, _ = run(capsys, "--command", "functional", "--input",
+                               str(path), "--response", "y", "--covariates",
+                               "x1,x2", "--functional", functional, "--level", "0.3")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["process_source"] == "averaged_two_step"
+            assert 0.0 < payload["value"] < 1.0
+        ds = read_csv_dataset(str(path), "y", ["x1", "x2"])
+        proc = averaged_two_step_process(ds, 0.5)
+        want = lorenz(StepQuantileProcess(proc.sorted_adjusted), 0.3).value
+        code, out, _ = run(capsys, "--command", "functional", "--input", str(path),
+                           "--response", "y", "--covariates", "x1,x2",
+                           "--functional", "lorenz", "--level", "0.3")
+        assert json.loads(out)["value"] == want
+        code, out, _ = run(capsys, "--command", "functional", "--input", str(path),
+                           "--response", "y", "--covariates", "x1,x2",
+                           "--functional", "cvar", "--level", "0.9")
+        assert json.loads(out)["process_source"] == "centered_two_step"
+
+    def test_lorenz_of_a_process_with_negative_values_is_a_domain_error(self, capsys):
+        code, _, err = run(capsys, "--command", "functional", "--input",
+                           fx("n200.csv"), "--response", "y", "--covariates",
+                           "x1,x2", "--functional", "lorenz", "--level", "0.5")
+        assert code == 2
+        assert err.startswith("error:domain: Lorenz curve needs nonnegative")
 
     def test_negative_values_lorenz_error(self, tmp_path, capsys):
         path = tmp_path / "neg.csv"

@@ -221,14 +221,3 @@ class TestAgainstDirectSampleFormulas:
         lo = s[int(np.ceil(n * 0.2)) - 1]
         hi = s[int(np.ceil(n * 0.8)) - 1]
         assert staudte_r(proc, 0.4).value == pytest.approx(lo / hi, rel=1e-14)
-
-
-class TestJsonReport:
-    def test_fixed_fields(self):
-        import json
-        est = cvar(proc_of(1, 2, 3, 4, 5), 0.6)
-        payload = json.loads(est.to_json(lam=0.5, process_source="empirical"))
-        assert set(payload) == {"kind", "level", "value", "n", "lambda",
-                                "process_source"}
-        assert payload["kind"] == "cvar"
-        assert payload["value"] == 4.5

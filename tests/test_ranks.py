@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quantfunc import (Dataset, DataError, DomainError, fit_r_estimator,
-                       hajek_scores, jaeckel_dispersion,
-                       jaeckel_dispersion_centered)
+                       hajek_scores, jaeckel_dispersion)
 from quantfunc.cli import read_csv_dataset
+from quantfunc.model import check_loss_vec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -30,6 +30,17 @@ def oracle_dispersion(b, ds, lam: float) -> float:
     residuals = ds.y - ds.x @ np.asarray(b, dtype=float)
     scores = oracle_scores(residuals, lam)
     return float(residuals @ (scores - float(scores.mean())))
+
+
+def centered_dispersion(b, ds, lam: float) -> float:
+    """Intercept-free form ``sum (y_i - y_bar - (x_i - x_bar)'b) a_i``.
+
+    Algebraically equal to the Jaeckel dispersion because the centered
+    scores sum to zero.
+    """
+    b = np.asarray(b, dtype=float)
+    scores = oracle_scores(ds.y - ds.x @ b, lam)
+    return float(((ds.y - ds.y_mean) - (ds.x - ds.x_mean) @ b) @ scores)
 
 
 # Few distinct values, so that ties (and ties at the selected order
@@ -165,7 +176,7 @@ class TestJaeckelDispersion:
             b = rng.standard_normal(p)
             lam = float(rng.uniform(0.1, 0.9))
             d1 = jaeckel_dispersion(b, ds, lam)
-            d2 = jaeckel_dispersion_centered(b, ds, lam)
+            d2 = centered_dispersion(b, ds, lam)
             assert d1 == pytest.approx(d2, rel=1e-10, abs=1e-10)
 
     def test_rejects_p0(self):
@@ -269,13 +280,30 @@ class TestFitREstimator:
         with pytest.raises(DataError):
             fit_r_estimator(ds, 0.5)
 
-    def test_search_path_of_the_golden_fit_is_pinned(self):
-        # The n200 fit takes this many dispersion evaluations to this exact
-        # dispersion; a change in any evaluation would move the search path.
+    def test_golden_fit_is_the_pinned_certified_optimum(self):
+        # The n200 fit lands on this exact vertex.  Its certificate, checked
+        # here apart from the solver: the slopes with the lower 0.5-quantile
+        # of their residuals interpolate q = 3 observations, and the
+        # Koenker-Bassett multipliers of those lie in [lam - 1, lam].
         ds = read_csv_dataset(os.path.join(FIXTURES, "n200.csv"), "y", ["x1", "x2"])
-        est = fit_r_estimator(ds, 0.5)
-        assert est.iterations == 452
-        assert est.dispersion.hex() == "0x1.5c9c5204e5ba3p+6"
+        lam = 0.5
+        est = fit_r_estimator(ds, lam)
+        assert est.dispersion.hex() == "0x1.5c9c456e5c7a1p+6"   # 87.15260860862192
+        assert [b.hex() for b in est.beta_tilde] == ["0x1.13cbf1a78e47cp+1",
+                                                     "-0x1.6fd73ccc283c0p-1"]
+        assert est.iterations == 9
+        r = ds.y - ds.x @ est.beta_tilde
+        r = r - np.sort(r)[int(ds.n * lam) - 1]
+        basis = np.argsort(np.abs(r), kind="stable")[:3]
+        assert np.max(np.abs(r[basis])) < 1e-14
+        assert np.min(np.abs(np.delete(r, basis))) > 1e-4
+        design = np.column_stack([np.ones(ds.n), ds.x])
+        psi = np.where(r < 0.0, lam - 1.0, lam)
+        psi[basis] = 0.0
+        multipliers = -np.linalg.solve(design[basis].T, design.T @ psi)
+        assert np.all((lam - 1.0 < multipliers) & (multipliers < lam))
+        assert math.fsum(check_loss_vec(r, lam)) == pytest.approx(est.dispersion,
+                                                                  rel=1e-14)
 
     def test_singular_design_rejected(self):
         from quantfunc import IdentifiabilityError
