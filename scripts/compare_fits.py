@@ -12,10 +12,14 @@ strings:
 - dispersions and Hajek scores at fixed slopes, tied residuals included;
 - two-step intercepts on a grid of levels, at the true slopes;
 - the simplex vertex and the regression-quantile coefficients at n = 400,
-  p = 2, and on tied data.
+  p = 2, and on tied data;
+- the ``to_json()`` text of the three simulation studies on the
+  configuration of perfbench's ``monte_carlo`` workload at seeds 0-2 and on
+  ``MC_CONFIG`` of the acceptance criteria 6-8.
 
 Prints one line per differing case and a summary that counts the
-differing cases of each kind; exits 1 on any difference.  Takes about a minute.
+differing cases of each kind; exits 1 on any difference.  Takes about 20
+seconds.
 """
 
 from __future__ import annotations
@@ -98,6 +102,17 @@ def emit() -> dict:
             out[f"{name} alpha={a}"] = {
                 "vertex": _hex(vertices[-1]), "coef": _hex([fit.beta0_hat, *fit.beta_hat]),
                 "objective": _hex([fit.objective]), "n_active": fit.n_active}
+
+    import quantfunc.simulation as sim
+    base = dict(n_grid=(100, 400, 1600), p=1, beta0=1.0, beta=(2.0,), design="equispaced",
+                error_dist=sim.ErrorDistribution("standard_normal"), lam=0.5)
+    studies = {f"study monte_carlo seed={seed}": sim.SimulationConfig(
+        **base, replications=40, seed=seed) for seed in range(3)}
+    studies["study MC_CONFIG"] = sim.SimulationConfig(**base, replications=200, seed=42)
+    for name, cfg in studies.items():
+        reports = [*sim.rate_study_two_step(cfg), sim.rate_study_r_estimator(cfg),
+                   sim.functional_consistency_study(cfg, "cvar", 0.9)]
+        out[name] = [r.to_json() for r in reports]
     return out
 
 

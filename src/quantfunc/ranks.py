@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, IdentifiabilityError
+from .errors import DataError, DomainError, IdentifiabilityError, QuantfuncError
 from .model import Dataset, design_diagnostics
-from .regression import _certified_vertex
+from .regression import _certified_vertices
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,37 @@ def fit_r_estimator(ds: Dataset, lam: float = 0.5) -> REstimate:
     :class:`SolverFailure`.  ``iterations`` counts the interior-point
     iterations plus the vertex pivots.
     """
-    if ds.p == 0:
-        raise DataError("R-estimation needs p >= 1")
-    if design_diagnostics(ds).max_leverage is None:
-        raise IdentifiabilityError("centered scatter matrix V_n is singular")
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lambda must be in (0, 1), got {lam}")
-    coef, iterations = _certified_vertex(ds, lam)
-    b = coef[1:]
-    return REstimate(lam=lam, beta_tilde=b, dispersion=jaeckel_dispersion(b, ds, lam),
-                     iterations=iterations)
+    return _fit_r_estimators([ds], lam)[0]
+
+
+def _fit_r_estimators(datasets: list[Dataset], lam: float) -> list[REstimate]:
+    """:func:`fit_r_estimator` of each dataset of a list of one n and p, the
+    interior points of their LPs run as one batch.
+
+    Each estimate is bitwise the one fitted alone, and the error raised is
+    the one a loop of single fits raises first: the datasets before it are
+    fitted, in order, before it is raised.
+    """
+    checked, failure = [], None
+    for ds in datasets:
+        try:
+            if ds.p == 0:
+                raise DataError("R-estimation needs p >= 1")
+            if design_diagnostics(ds).max_leverage is None:
+                raise IdentifiabilityError("centered scatter matrix V_n is singular")
+            if not 0.0 < lam < 1.0:
+                raise DomainError(f"lambda must be in (0, 1), got {lam}")
+        except QuantfuncError as exc:
+            failure = exc
+            break
+        checked.append(ds)
+    estimates = []
+    if checked:
+        for ds, (coef, iterations) in zip(checked, _certified_vertices(checked, lam)):
+            b = coef[1:]
+            estimates.append(REstimate(lam=lam, beta_tilde=b,
+                                       dispersion=jaeckel_dispersion(b, ds, lam),
+                                       iterations=iterations))
+    if failure is not None:
+        raise failure
+    return estimates

@@ -7,6 +7,7 @@ deterministic Bland-rule simplex, so repeated fits return the same vertex.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,39 +133,54 @@ def averaged_regression_quantile(fit: QuantileFit, ds: Dataset) -> float:
 
 
 def _at(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``(1, X)'v``, summed by numpy rather than BLAS: no thread count moves a bit."""
-    return np.concatenate(([v.sum()], np.einsum("ij,i->j", x, v)))
+    """``(1, X_b)'v_b`` of each problem b of a batch, x of shape (B, n, p) and v
+    of shape (B, n).  The sums run in numpy, not BLAS, and each over one
+    problem's row, so neither the thread count nor the batch moves a bit."""
+    return np.concatenate((v.sum(axis=1)[:, None], np.einsum("bij,bi->bj", x, v)), axis=1)
 
 
 def _a(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``(1, X) u``; X is read in place and never augmented."""
-    return np.einsum("ij,j->i", x, u[1:]) + u[0]
+    """``(1, X_b) u_b`` of each problem b; X is read in place and never augmented."""
+    return np.einsum("bij,bj->bi", x, u[:, 1:]) + u[:, :1]
 
 
 def _normal_solver(x: np.ndarray, d: np.ndarray):
-    """Solver of ``(1, X)' diag(d) (1, X) u = rhs``, scaled to a unit diagonal.
+    """Solver of ``(1, X_b)' diag(d_b) (1, X_b) u_b = rhs_b`` for each problem b,
+    scaled to a unit diagonal.
 
     A matrix singular to working precision, as when the weights of tied data
     pile onto fewer than q distinct rows, gets the least-squares solution.
+    Then every problem is solved on its own, by the same LAPACK call as in
+    the batch, so the others' solutions keep their bits.
     """
-    q = x.shape[1] + 1
-    m = np.empty((q, q))
+    q = x.shape[2] + 1
+    m = np.empty((x.shape[0], q, q))
     for j in range(q):
-        m[j, j:] = m[j:, j] = _at(x, d if j == 0 else d * x[:, j - 1])[j:]
-    scale = 1.0 / np.sqrt(np.diag(m))
-    m *= np.outer(scale, scale)
+        m[:, j, j:] = m[:, j:, j] = _at(x, d if j == 0 else d * x[:, :, j - 1])[:, j:]
+    scale = 1.0 / np.sqrt(m.diagonal(axis1=1, axis2=2))
+    m *= scale[:, :, None] * scale[:, None, :]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
+        rhs = (rhs * scale)[:, :, None]
         try:
-            return np.linalg.solve(m, rhs * scale) * scale
+            return np.linalg.solve(m, rhs)[:, :, 0] * scale
         except np.linalg.LinAlgError:
-            return np.linalg.lstsq(m, rhs * scale, rcond=None)[0] * scale
+            return np.array([_solve_or_lstsq(mb, rb) for mb, rb in zip(m, rhs)]) * scale
     return solve
 
 
-def _step(u, du, v, dv) -> float:
-    """``_IPM_STEP`` of the longest step keeping ``u + t du, v + t dv >= 0``, at most 1."""
-    return -_IPM_STEP / min(float((du / u).min()), float((dv / v).min()), -_IPM_STEP)
+def _solve_or_lstsq(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(m, rhs)[:, 0]
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(m, rhs[:, 0], rcond=None)[0]
+
+
+def _step(u, du, v, dv) -> np.ndarray:
+    """``_IPM_STEP`` of each problem's longest step keeping ``u + t du, v + t dv
+    >= 0``, at most 1."""
+    return -_IPM_STEP / np.minimum(np.minimum((du / u).min(axis=1), (dv / v).min(axis=1)),
+                                   -_IPM_STEP)
 
 
 def _newton(x, d, solve, rp, a, s, z, w, mu=0.0, pz=0.0, pw=0.0):
@@ -177,76 +193,113 @@ def _newton(x, d, solve, rp, a, s, z, w, mu=0.0, pz=0.0, pw=0.0):
     return da, (mu - pz - z * (a + da)) / a, (mu + pw - w * (s - da)) / s
 
 
-def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, floor: float):
-    """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.).
+def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, floor: np.ndarray) -> list:
+    """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.) on
+    a batch of B problems of one shape, y of shape (B, n) and x (B, n, p).
 
-    Mehrotra's predictor-corrector for ``max y'a`` subject to
-    ``(1, X)'a = (1 - tau)(1, X)'1``, ``0 <= a <= 1``.  With z, w the bound
+    Mehrotra's predictor-corrector for ``max y_b'a`` subject to
+    ``(1, X_b)'a = (1 - tau)(1, X_b)'1``, ``0 <= a <= 1``.  With z, w the bound
     multipliers, ``w - z`` is the residual and ``tau sum w + (1 - tau) sum z``
     its check loss; the gap ``a'z + (1 - a)'w`` stops at ``_IPM_RTOL`` of that
-    loss (unmoved by a shift of y) plus ``floor``.  Returns a, w - z and the
-    iteration count.
+    loss (unmoved by a shift of y) plus the problem's ``floor``.  Each problem
+    has its own step lengths, centring and stopping test, and leaves the
+    batch when it stops.  Every operation reads one problem's row alone, so
+    a problem's iterates are the bits it reaches when solved alone.  Returns
+    ``(a, w - z, iterations)`` of each problem, in batch order.
     """
-    n = y.size
-    b = (1.0 - tau) * _at(x, np.ones(n))
-    a, s = np.full(n, 1.0 - tau), np.full(n, tau)
-    r = y - _a(x, _normal_solver(x, np.ones(n))(_at(x, y)))
-    shift = float(np.abs(r).mean()) or 1.0
-    z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
+    n = y.shape[1]
+    b = (1.0 - tau) * _at(x, np.ones(y.shape))
+    a, s = np.full(y.shape, 1.0 - tau), np.full(y.shape, tau)
+    r = y - _a(x, _normal_solver(x, np.ones(y.shape))(_at(x, y)))
+    shift = np.abs(r).mean(axis=1)
+    shift[shift == 0.0] = 1.0
+    z, w = np.maximum(-r, 0.0) + shift[:, None], np.maximum(r, 0.0) + shift[:, None]
     del r
-    for iterations in range(_IPM_MAX_ITER + 1):
-        gap = float(np.einsum("i,i", a, z) + np.einsum("i,i", s, w))
-        loss = tau * w.sum() + (1.0 - tau) * z.sum()
-        if iterations == _IPM_MAX_ITER or gap <= _IPM_RTOL * loss + floor:
-            break
+    live, found = np.arange(y.shape[0]), [None] * y.shape[0]
+    for iterations in itertools.count():
+        gap = np.einsum("bi,bi->b", a, z) + np.einsum("bi,bi->b", s, w)
+        loss = tau * w.sum(axis=1) + (1.0 - tau) * z.sum(axis=1)
+        stop = (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
+        if stop.any():
+            last = stop.all()
+            for j in np.flatnonzero(stop):  # a row view would keep the batch alive
+                found[live[j]] = (a[j] if last else a[j].copy(), w[j] - z[j], iterations)
+            if last:
+                return found
+            go = ~stop
+            live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
+            a, s, z, w = a[go], s[go], z[go], w[go]
         d = 1.0 / (z / a + w / s)
         solve, rp = _normal_solver(x, d), b - _at(x, a)
         da, dz, dw = _newton(x, d, solve, rp, a, s, z, w)
         ap, ad = _step(a, da, s, -da), _step(z, dz, w, dw)
-        if min(ap, ad) < 1.0:
-            g_aff = (np.einsum("i,i", a + ap * da, z + ad * dz)
-                     + np.einsum("i,i", s - ap * da, w + ad * dw))
-            mu = gap * (g_aff / gap) ** 3 / (2 * n)
+        centre = np.minimum(ap, ad) < 1.0
+        if centre.any():
+            g_aff = (np.einsum("bi,bi->b", a + ap[:, None] * da, z + ad[:, None] * dz)
+                     + np.einsum("bi,bi->b", s - ap[:, None] * da, w + ad[:, None] * dw))
+            # A problem that takes the full predictor step keeps mu = pz = pw
+            # = 0, which makes its corrector the predictor again, bit for bit.
+            mu = np.array([[g * (g_a / g) ** 3 / (2 * n) if c else 0.0]
+                           for g, g_a, c in zip(gap, g_aff, centre)])
             pz, pw = da * dz, da * dw
+            pz[~centre] = pw[~centre] = 0.0
             del da, dz, dw
             da, dz, dw = _newton(x, d, solve, rp, a, s, z, w, mu, pz, pw)
             del pz, pw
             ap, ad = _step(a, da, s, -da), _step(z, dz, w, dw)
-        a += ap * da
-        s -= ap * da
-        z += ad * dz
-        w += ad * dw
-    return a, w - z, iterations
+        a += ap[:, None] * da
+        s -= ap[:, None] * da
+        z += ad[:, None] * dz
+        w += ad[:, None] * dw
 
 
-def _certified_vertex(ds: Dataset, tau: float) -> tuple[np.ndarray, int]:
-    """Exact minimizer ``(b0, b)`` of ``sum rho_tau(y - b0 - X b)``, a vertex.
+def _certified_vertices(datasets: list[Dataset], tau: float):
+    """Exact minimizer ``(b0, b)`` of ``sum rho_tau(y - b0 - X b)``, a vertex,
+    of each dataset of a list of one n and p, their interior points run as one
+    batch.
 
-    The vertex interpolates q independent observations ranked by how far the
+    A vertex interpolates q independent observations ranked by how far the
     interior point's ``a_i`` lie from {0, 1}, then by ``|residual|``, then by
     index.  It is certified once its check loss is within ``_VERTEX_RTOL`` of
     the dual bound ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``, or within the
     rounding of an exact fit.  Until then the basis point of smallest index
     whose Koenker-Bassett multiplier lies outside ``[tau - 1, tau]`` leaves,
     and the point where the loss stops falling along that edge enters.
-    ``(1, X)`` must have full rank.  Returns the coefficients and the
-    iterations plus pivots, or raises :class:`SolverFailure`.
+    Each ``(1, X)`` must have full rank.  Yields, in list order, the
+    coefficients and the iterations plus pivots of each dataset, or raises
+    :class:`SolverFailure` at the first dataset with no certified vertex.
     """
-    y, x, q = ds.y, ds.x, ds.p + 1
-    floor = q * np.finfo(float).eps * float(np.abs(y).sum())
-    a, r, iterations = _interior_point(y, x, tau, floor)
+    q = datasets[0].p + 1
+    if len(datasets) == 1:  # views: a lone fit copies no data
+        y, x = datasets[0].y[None], datasets[0].x[None]
+    else:
+        y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
+    floor = q * np.finfo(float).eps * np.abs(y).sum(axis=1)
+    found = _interior_point(y, x, tau, floor)
+    del y, x
+    for k, ds in enumerate(datasets):
+        a, r, iterations = found[k]
+        found[k] = None
+        yield _vertex(ds, tau, a, r, floor[k], iterations)
+
+
+def _vertex(ds: Dataset, tau: float, a: np.ndarray, r: np.ndarray, floor,
+            iterations: int) -> tuple[np.ndarray, int]:
+    """The certified vertex of one dataset from its interior point ``a`` and
+    residual ``r`` (see :func:`_certified_vertices`)."""
+    y, x, q = ds.y, ds.x[None], ds.p + 1
     order = np.lexsort((np.abs(r), -np.minimum(a, 1.0 - a)))
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
     basis: list[int] = []
     for i in order:
-        if np.linalg.matrix_rank(np.c_[np.ones(len(basis) + 1), x[basis + [i]]]) > len(basis):
+        if np.linalg.matrix_rank(np.c_[np.ones(len(basis) + 1), ds.x[basis + [i]]]) > len(basis):
             basis.append(int(i))
             if len(basis) == q:
                 break
     for pivots in range(ds.n + 1):
-        sub = np.c_[np.ones(q), x[basis]]
+        sub = np.c_[np.ones(q), ds.x[basis]]
         coef = np.linalg.solve(sub, y[basis])
-        r = y - _a(x, coef)
+        r = y - _a(x, coef[None])[0]
         if pivots == 0:  # the bound of each point off the basis, tracked from
             # here on so that a degenerate pivot cannot undo the one before
             above = (r > 0.0) | ((r == 0.0) & (a >= 0.5))
@@ -256,7 +309,7 @@ def _certified_vertex(ds: Dataset, tau: float) -> tuple[np.ndarray, int]:
             return coef, iterations + pivots
         psi = np.where(above, tau, tau - 1.0)
         psi[basis] = 0.0
-        v = -np.linalg.solve(sub.T, _at(x, psi))
+        v = -np.linalg.solve(sub.T, _at(x, psi[None])[0])
         outside = [k for k in range(q) if not tau - 1.0 <= v[k] <= tau]
         if not outside:
             break
@@ -265,7 +318,7 @@ def _certified_vertex(ds: Dataset, tau: float) -> tuple[np.ndarray, int]:
         # Freeing basis[k], the loss falls at slope0 < 0 until a weighted
         # median of the residual ratios: each crossing adds |c_i| to the slope.
         slope0 = sign * v[k] + (1.0 - tau if sign > 0 else tau)
-        c = _a(x, np.linalg.solve(sub, sign * np.eye(q)[k]))
+        c = _a(x, np.linalg.solve(sub, sign * np.eye(q)[k])[None])[0]
         c[basis] = 0.0
         kinks = np.flatnonzero(np.where(above, c > 0.0, c < 0.0))
         rank = np.argsort(np.maximum(r[kinks] / c[kinks], 0.0), kind="stable")

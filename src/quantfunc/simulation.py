@@ -6,7 +6,10 @@ summarizes errors as per-sample-size RMSEs with a fitted log-log slope.
 
 Reproducibility: the generator is the counter-based Philox engine keyed by
 ``SeedSequence([seed, n, replicate])``, so every (replicate, n) pair owns an
-independent substream and execution order cannot change results.
+independent substream and execution order cannot change results.  The
+replicates of one n are fitted in stacked batches, and a batch's size and
+members cannot change results either: each replicate's slopes are bitwise
+the ones it gets when fitted alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Dataset, order_index
-from .two_step import _slopes, averaged_two_step_process, centered_process
+from .ranks import _fit_r_estimators
+from .two_step import averaged_two_step_process, centered_process
 from . import functionals as fn
 
 ERROR_DISTS = ("standard_normal", "shifted_exponential", "uniform_centered")
@@ -29,6 +33,12 @@ DESIGNS = ("iid_uniform_cube", "equispaced", "iid_normal")
 # Default sup-deviation threshold c in the coverage fraction
 # P(sup-deviation < c / sqrt(n)).
 DEFAULT_COVERAGE_C = 5.0
+
+# Most responses (replicates times n) whose slopes are fitted in one batch.
+# A batch holds up to about 24 arrays of this size.  perfbench's monte_carlo
+# workload bounds peak_rss_mb at 5 % over a baseline of about 41.7 MB, which
+# leaves about 2 MB: 4096 raises its peak by about 1.4 %, 8192 by about 3.8 %.
+_BATCH_ELEMENTS = 4096
 
 _STD_NORMAL = NormalDist()
 
@@ -235,6 +245,25 @@ def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset,
     return Dataset(y=y, x=x), z
 
 
+def _replicates(config: SimulationConfig, n: int):
+    """``(ds, z, slopes)`` of each replicate at sample size n, in replicate order.
+
+    The replicates are drawn a batch at a time and their slopes fitted
+    together, each the bits of a lone :func:`fit_r_estimator`.
+    """
+    size = max(1, _BATCH_ELEMENTS // n)
+    for start in range(0, config.replications, size):
+        drawn = [generate(config, n, rep)
+                 for rep in range(start, min(start + size, config.replications))]
+        if config.p:
+            slopes = [est.beta_tilde for est in
+                      _fit_r_estimators([ds for ds, _ in drawn], config.lam)]
+        else:
+            slopes = [np.zeros(0)] * len(drawn)
+        for (ds, z), b in zip(drawn, slopes):
+            yield ds, z, b
+
+
 def _fit_slope(n_grid, rmse) -> float:
     logs_n = np.log(np.asarray(n_grid, dtype=float))
     logs_r = np.log(np.maximum(np.asarray(rmse, dtype=float), 1e-300))
@@ -270,9 +299,7 @@ def rate_study_two_step(config: SimulationConfig,
     for n in config.n_grid:
         d_true, d_mean = [], []
         idx = np.array([order_index(a, n).index for a in config.alphas])
-        for rep in range(config.replications):
-            ds, z = generate(config, n, rep)
-            slopes = _slopes(ds, config.lam)
+        for ds, z, slopes in _replicates(config, n):
             proc = averaged_two_step_process(ds, config.lam, slopes=slopes)
             b_vals = proc.sorted_adjusted[idx - 1]
             z_sorted = np.sort(z)[idx - 1]
@@ -295,12 +322,8 @@ def rate_study_r_estimator(config: SimulationConfig,
     beta = np.asarray(config.beta, dtype=float)
     errors_by_n = []
     for n in config.n_grid:
-        errs = []
-        for rep in range(config.replications):
-            ds, _ = generate(config, n, rep)
-            slopes = _slopes(ds, config.lam)
-            errs.append(float(np.linalg.norm(slopes - beta)))
-        errors_by_n.append(errs)
+        errors_by_n.append([float(np.linalg.norm(slopes - beta))
+                            for _, _, slopes in _replicates(config, n)])
     return _summarize("r_estimator_norm_error", config.n_grid, errors_by_n, coverage_c)
 
 
@@ -313,9 +336,7 @@ def functional_consistency_study(config: SimulationConfig, kind: str, level: flo
     errors_by_n = []
     for n in config.n_grid:
         errs = []
-        for rep in range(config.replications):
-            ds, _ = generate(config, n, rep)
-            slopes = _slopes(ds, config.lam)
+        for ds, _, slopes in _replicates(config, n):
             proc = centered_process(averaged_two_step_process(ds, config.lam, slopes=slopes))
             errs.append(estimator(proc, level).value - truth)
         errors_by_n.append(errs)

@@ -1,6 +1,6 @@
 """The check-loss LP behind the rank-based slopes, against independent oracles.
 
-``regression._certified_vertex`` returns the vertex of the lambda-regression
+``regression._certified_vertices`` yields the vertex of the lambda-regression
 quantile LP whose slope part ``fit_r_estimator`` reports.  HiGHS (scipy, from
 the ``test`` extra) and the enumeration of all interpolating vertices are the
 oracles; neither shares code with the interior point or its pivots.
@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 import quantfunc.regression as regression
 from quantfunc import Dataset, SolverFailure, fit_r_estimator, jaeckel_dispersion
-from quantfunc.regression import _certified_vertex
+from quantfunc.regression import _certified_vertices
 
 RTOL = 1e-12
 
@@ -58,7 +58,7 @@ def enumerated_optimum(y, x, tau):
 
 
 def assert_optimal_vertex(y, x, tau, oracle=highs_optimum):
-    coef, _ = _certified_vertex(Dataset(y=y, x=x), tau)
+    coef, _ = next(_certified_vertices([Dataset(y=y, x=x)], tau))
     assert check_loss(y, x, coef, tau) == pytest.approx(oracle(y, x, tau),
                                                         rel=RTOL, abs=1e-12)
     r = y - coef[0] - x @ coef[1:]
