@@ -14,11 +14,13 @@ strings:
 - the simplex vertex and the regression-quantile coefficients at n = 400,
   p = 2, and on tied data;
 - the ``to_json()`` text of the three simulation studies on the
-  configuration of perfbench's ``monte_carlo`` workload at seeds 0-2 and on
-  ``MC_CONFIG`` of the acceptance criteria 6-8.
+  configuration of perfbench's ``monte_carlo`` workload at seeds 0-2, on
+  ``MC_CONFIG`` of the acceptance criteria 6-8, on a p = 3
+  ``iid_uniform_cube`` design at lambda = 0.37 and on a p = 2
+  ``iid_normal`` design with ``shifted_exponential`` errors.
 
 Prints one line per differing case and a summary that counts the
-differing cases of each kind; exits 1 on any difference.  Takes about 20
+differing cases of each kind; exits 1 on any difference.  Takes about 25
 seconds.
 """
 
@@ -109,6 +111,14 @@ def emit() -> dict:
     studies = {f"study monte_carlo seed={seed}": sim.SimulationConfig(
         **base, replications=40, seed=seed) for seed in range(3)}
     studies["study MC_CONFIG"] = sim.SimulationConfig(**base, replications=200, seed=42)
+    studies["study p=3 cube lam=0.37"] = sim.SimulationConfig(
+        n_grid=(50, 200, 800), p=3, beta0=1.0, beta=(1.0, -2.0, 0.5), design="iid_uniform_cube",
+        error_dist=sim.ErrorDistribution("uniform_centered", 2.0), lam=0.37,
+        replications=30, seed=5)
+    studies["study p=2 normal exponential"] = sim.SimulationConfig(
+        n_grid=(100, 400), p=2, beta0=-1.0, beta=(0.5, 1.5), design="iid_normal",
+        error_dist=sim.ErrorDistribution("shifted_exponential", 2.0), lam=0.5,
+        replications=40, seed=7)
     for name, cfg in studies.items():
         reports = [*sim.rate_study_two_step(cfg), sim.rate_study_r_estimator(cfg),
                    sim.functional_consistency_study(cfg, "cvar", 0.9)]

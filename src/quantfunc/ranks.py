@@ -117,12 +117,20 @@ def fit_r_estimator(ds: Dataset, lam: float = 0.5) -> REstimate:
 
 
 def _fit_r_estimators(datasets: list[Dataset], lam: float) -> list[REstimate]:
-    """:func:`fit_r_estimator` of each dataset of a list of one n and p, the
-    interior points of their LPs run as one batch.
+    """:func:`fit_r_estimator` of each dataset of a list of one n and p, their
+    LPs solved as one batch (see :func:`_fit_slopes`)."""
+    return [REstimate(lam=lam, beta_tilde=b, dispersion=jaeckel_dispersion(b, ds, lam),
+                      iterations=iterations)
+            for ds, (b, iterations) in zip(datasets, _fit_slopes(datasets, lam))]
 
-    Each estimate is bitwise the one fitted alone, and the error raised is
-    the one a loop of single fits raises first: the datasets before it are
-    fitted, in order, before it is raised.
+
+def _fit_slopes(datasets: list[Dataset], lam: float):
+    """The slopes and iterations of :func:`fit_r_estimator` of each dataset of
+    a list of one n and p, their LPs solved as one batch; no dispersion.
+
+    Yields in list order.  Each estimate is bitwise the one fitted alone, and
+    the error raised is the one a loop of single fits raises first: the
+    datasets before it are yielded before it is raised.
     """
     checked, failure = [], None
     for ds in datasets:
@@ -137,13 +145,8 @@ def _fit_r_estimators(datasets: list[Dataset], lam: float) -> list[REstimate]:
             failure = exc
             break
         checked.append(ds)
-    estimates = []
     if checked:
-        for ds, (coef, iterations) in zip(checked, _certified_vertices(checked, lam)):
-            b = coef[1:]
-            estimates.append(REstimate(lam=lam, beta_tilde=b,
-                                       dispersion=jaeckel_dispersion(b, ds, lam),
-                                       iterations=iterations))
+        for coef, iterations in _certified_vertices(checked, lam):
+            yield coef[1:], iterations
     if failure is not None:
         raise failure
-    return estimates

@@ -176,24 +176,33 @@ def _solve_or_lstsq(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(m, rhs[:, 0], rcond=None)[0]
 
 
-def _step(u, du, v, dv) -> np.ndarray:
-    """``_IPM_STEP`` of each problem's longest step keeping ``u + t du, v + t dv
-    >= 0``, at most 1."""
-    return -_IPM_STEP / np.minimum(np.minimum((du / u).min(axis=1), (dv / v).min(axis=1)),
-                                   -_IPM_STEP)
+def _step(lowest: np.ndarray) -> np.ndarray:
+    """``_IPM_STEP`` of each problem's longest step keeping ``u + t du >= 0``,
+    at most 1, from ``lowest``, its least ratio ``du / u``."""
+    return -_IPM_STEP / np.minimum(lowest, -_IPM_STEP)
 
 
-def _newton(x, d, solve, rp, a, s, z, w, mu=0.0, pz=0.0, pw=0.0):
+def _newton(x, d, solve, rp, g, a, s, z, w, mpz=0.0, mpw=0.0):
     """Direction (da, dz, dw) toward ``a z = (1 - a) w = mu``, keeping dual
-    feasibility and closing the primal residual ``rp``.  ``pz = da dz`` and
-    ``pw = da dw`` are Mehrotra's second-order terms of the predictor."""
-    g = z - w + (mu + pw) / s - (mu - pz) / a
-    da = d * (_a(x, solve(rp + _at(x, d * g))) - g)
-    del g
-    return da, (mu - pz - z * (a + da)) / a, (mu + pw - w * (s - da)) / s
+    feasibility and closing the primal residual ``rp``.  With Mehrotra's
+    second-order terms ``pz = da dz`` and ``pw = da dw`` of the predictor,
+    ``mpz = mu - pz``, ``mpw = mu + pw`` and ``g = z - w + mpw / s - mpz / a``;
+    the predictor has ``mpz = mpw = 0`` and ``g = z - w``."""
+    da = _a(x, solve(rp + _at(x, d * g)))
+    da -= g
+    da *= d
+    dz = a + da
+    dz *= z
+    np.subtract(mpz, dz, out=dz)
+    dz /= a
+    dw = s - da
+    dw *= w
+    np.subtract(mpw, dw, out=dw)
+    dw /= s
+    return da, dz, dw
 
 
-def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, floor: np.ndarray) -> list:
+def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, floor: np.ndarray):
     """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.) on
     a batch of B problems of one shape, y of shape (B, n) and x (B, n, p).
 
@@ -201,73 +210,99 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, floor: np.ndarray)
     ``(1, X_b)'a = (1 - tau)(1, X_b)'1``, ``0 <= a <= 1``.  With z, w the bound
     multipliers, ``w - z`` is the residual and ``tau sum w + (1 - tau) sum z``
     its check loss; the gap ``a'z + (1 - a)'w`` stops at ``_IPM_RTOL`` of that
-    loss (unmoved by a shift of y) plus the problem's ``floor``.  Each problem
-    has its own step lengths, centring and stopping test, and leaves the
-    batch when it stops.  Every operation reads one problem's row alone, so
-    a problem's iterates are the bits it reaches when solved alone.  Returns
-    ``(a, w - z, iterations)`` of each problem, in batch order.
+    loss (unmoved by a shift of y) plus the problem's ``floor``.  The start
+    is the least-squares fit, so an exact fit, a zero response among them,
+    stops at once with gap 0.  Each problem has its own step lengths,
+    centring and stopping test, and leaves the batch when it stops.  Every
+    operation reads one problem's row alone, so a problem's iterates are the
+    bits it reaches when solved alone, for n up to numpy's 8192-element
+    einsum buffer (a study batches at most 4096 responses).  Returns ``a``
+    and ``w - z``, of shape (B, n), and the iterations, of shape (B,).
     """
     n = y.shape[1]
     b = (1.0 - tau) * _at(x, np.ones(y.shape))
     a, s = np.full(y.shape, 1.0 - tau), np.full(y.shape, tau)
     r = y - _a(x, _normal_solver(x, np.ones(y.shape))(_at(x, y)))
-    shift = np.abs(r).mean(axis=1)
-    shift[shift == 0.0] = 1.0
-    z, w = np.maximum(-r, 0.0) + shift[:, None], np.maximum(r, 0.0) + shift[:, None]
-    del r
-    live, found = np.arange(y.shape[0]), [None] * y.shape[0]
+    shift = np.abs(r).mean(axis=1)[:, None]
+    z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
+    del r, shift
+    live, found = np.arange(y.shape[0]), None
     for iterations in itertools.count():
         gap = np.einsum("bi,bi->b", a, z) + np.einsum("bi,bi->b", s, w)
         loss = tau * w.sum(axis=1) + (1.0 - tau) * z.sum(axis=1)
         stop = (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
         if stop.any():
-            last = stop.all()
-            for j in np.flatnonzero(stop):  # a row view would keep the batch alive
-                found[live[j]] = (a[j] if last else a[j].copy(), w[j] - z[j], iterations)
-            if last:
+            if found is None:  # a, w - z and the iterations of each problem
+                found = np.empty(y.shape), np.empty(y.shape), np.empty(y.shape[0], dtype=int)
+            done = live[stop]
+            found[0][done], found[1][done] = a[stop], w[stop] - z[stop]
+            found[2][done] = iterations
+            if stop.all():
                 return found
             go = ~stop
             live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
             a, s, z, w = a[go], s[go], z[go], w[go]
-        d = 1.0 / (z / a + w / s)
+        d = z / a
+        d += w / s
+        np.divide(1.0, d, out=d)
         solve, rp = _normal_solver(x, d), b - _at(x, a)
-        da, dz, dw = _newton(x, d, solve, rp, a, s, z, w)
-        ap, ad = _step(a, da, s, -da), _step(z, dz, w, dw)
+        g = z - w
+        da, dz, dw = _newton(x, d, solve, rp, g, a, s, z, w)
+        ap = _step(np.minimum((da / a).min(axis=1), -(da / s).max(axis=1)))
+        ad = _step(np.minimum((dz / z).min(axis=1), (dw / w).min(axis=1)))
         centre = np.minimum(ap, ad) < 1.0
         if centre.any():
-            g_aff = (np.einsum("bi,bi->b", a + ap[:, None] * da, z + ad[:, None] * dz)
-                     + np.einsum("bi,bi->b", s - ap[:, None] * da, w + ad[:, None] * dw))
+            move, to = ap[:, None] * da, ad[:, None] * dz
+            to += z
+            g_aff = np.einsum("bi,bi->b", a + move, to)
+            np.subtract(s, move, out=move)
+            np.multiply(ad[:, None], dw, out=to)
+            to += w
+            g_aff += np.einsum("bi,bi->b", move, to)
+            del move, to
+            # mu is cubed by libm's pow, one Python float at a time, as a
+            # numpy scalar is; numpy's array power may take another pow.
+            cube = np.array([ratio ** 3 for ratio in (g_aff / gap).tolist()])
+            mu = (gap * cube / (2 * n))[:, None]
+            mpz, mpw = da * dz, da * dw
+            np.subtract(mu, mpz, out=mpz)
+            np.add(mu, mpw, out=mpw)
             # A problem that takes the full predictor step keeps mu = pz = pw
             # = 0, which makes its corrector the predictor again, bit for bit.
-            mu = np.array([[g * (g_a / g) ** 3 / (2 * n) if c else 0.0]
-                           for g, g_a, c in zip(gap, g_aff, centre)])
-            pz, pw = da * dz, da * dw
-            pz[~centre] = pw[~centre] = 0.0
-            del da, dz, dw
-            da, dz, dw = _newton(x, d, solve, rp, a, s, z, w, mu, pz, pw)
-            del pz, pw
-            ap, ad = _step(a, da, s, -da), _step(z, dz, w, dw)
-        a += ap[:, None] * da
-        s -= ap[:, None] * da
-        z += ad[:, None] * dz
-        w += ad[:, None] * dw
+            mpz[~centre] = mpw[~centre] = 0.0
+            g += mpw / s
+            g -= mpz / a
+            del da, dz, dw, mu
+            da, dz, dw = _newton(x, d, solve, rp, g, a, s, z, w, mpz, mpw)
+            del mpz, mpw
+            ap = _step(np.minimum((da / a).min(axis=1), -(da / s).max(axis=1)))
+            ad = _step(np.minimum((dz / z).min(axis=1), (dw / w).min(axis=1)))
+        da *= ap[:, None]
+        a += da
+        s -= da
+        dz *= ad[:, None]
+        z += dz
+        dw *= ad[:, None]
+        w += dw
+        del d, g, da, dz, dw
 
 
 def _certified_vertices(datasets: list[Dataset], tau: float):
     """Exact minimizer ``(b0, b)`` of ``sum rho_tau(y - b0 - X b)``, a vertex,
-    of each dataset of a list of one n and p, their interior points run as one
-    batch.
+    of each dataset of a list of one n and p, solved as one batch.
 
     A vertex interpolates q independent observations ranked by how far the
     interior point's ``a_i`` lie from {0, 1}, then by ``|residual|``, then by
     index.  It is certified once its check loss is within ``_VERTEX_RTOL`` of
     the dual bound ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``, or within the
-    rounding of an exact fit.  Until then the basis point of smallest index
-    whose Koenker-Bassett multiplier lies outside ``[tau - 1, tau]`` leaves,
-    and the point where the loss stops falling along that edge enters.
-    Each ``(1, X)`` must have full rank.  Yields, in list order, the
-    coefficients and the iterations plus pivots of each dataset, or raises
-    :class:`SolverFailure` at the first dataset with no certified vertex.
+    rounding of an exact fit.  The batch ranks every problem's observations,
+    tests the rank of its q lead rows and solves, prices and certifies its
+    first vertex in stacked calls.  Only a problem whose lead rows are
+    dependent or whose first vertex is not certified goes on alone, to
+    :func:`_vertex`.  Each ``(1, X)`` must have full rank.  Yields, in list
+    order, the coefficients and the iterations plus pivots of each dataset,
+    or raises :class:`SolverFailure` at the first dataset with no certified
+    vertex.
     """
     q = datasets[0].p + 1
     if len(datasets) == 1:  # views: a lone fit copies no data
@@ -275,27 +310,43 @@ def _certified_vertices(datasets: list[Dataset], tau: float):
     else:
         y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
     floor = q * np.finfo(float).eps * np.abs(y).sum(axis=1)
-    found = _interior_point(y, x, tau, floor)
-    del y, x
-    for k, ds in enumerate(datasets):
-        a, r, iterations = found[k]
-        found[k] = None
-        yield _vertex(ds, tau, a, r, floor[k], iterations)
-
-
-def _vertex(ds: Dataset, tau: float, a: np.ndarray, r: np.ndarray, floor,
-            iterations: int) -> tuple[np.ndarray, int]:
-    """The certified vertex of one dataset from its interior point ``a`` and
-    residual ``r`` (see :func:`_certified_vertices`)."""
-    y, x, q = ds.y, ds.x[None], ds.p + 1
-    order = np.lexsort((np.abs(r), -np.minimum(a, 1.0 - a)))
+    a, r, iterations = _interior_point(y, x, tau, floor)
+    order = np.lexsort((np.abs(r), -np.minimum(a, 1.0 - a)), axis=-1)
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
-    basis: list[int] = []
-    for i in order:
-        if np.linalg.matrix_rank(np.c_[np.ones(len(basis) + 1), ds.x[basis + [i]]]) > len(basis):
-            basis.append(int(i))
-            if len(basis) == q:
-                break
+    rows, lead = np.arange(len(datasets))[:, None], order[:, :q]
+    sub = np.concatenate((np.ones((len(datasets), q, 1)), x[rows, lead]), axis=2)
+    independent = np.linalg.matrix_rank(sub) == q
+    sub[~independent] = np.eye(q)  # placeholders: these problems go on alone
+    coef = np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0]
+    r = y - _a(x, coef)
+    loss = check_loss_vec(r, tau).sum(axis=1)
+    certified = independent & (loss - np.einsum("bi,bi->b", d, r) <= _VERTEX_RTOL * loss + floor)
+    del y, x, r, sub
+    for k, ds in enumerate(datasets):
+        if certified[k]:
+            yield coef[k], int(iterations[k])
+        else:
+            basis = lead[k].tolist() if independent[k] else None
+            yield _vertex(ds, tau, a[k], d[k], order[k], basis, floor[k], int(iterations[k]))
+
+
+def _vertex(ds: Dataset, tau: float, a: np.ndarray, d: np.ndarray, order: np.ndarray,
+            basis: list[int] | None, floor, iterations: int) -> tuple[np.ndarray, int]:
+    """The certified vertex of one dataset from its interior point ``a``, dual
+    weights ``d`` and observation ``order`` (see :func:`_certified_vertices`),
+    starting at ``basis``, or with no basis at the first q independent
+    observations in that order.  Until a vertex is certified, the basis point
+    of smallest index whose Koenker-Bassett multiplier lies outside
+    ``[tau - 1, tau]`` leaves, and the point where the loss stops falling
+    along that edge enters."""
+    y, x, q = ds.y, ds.x[None], ds.p + 1
+    if basis is None:
+        basis = []
+        for i in order:
+            if np.linalg.matrix_rank(np.c_[np.ones(len(basis) + 1), ds.x[basis + [i]]]) > len(basis):
+                basis.append(int(i))
+                if len(basis) == q:
+                    break
     for pivots in range(ds.n + 1):
         sub = np.c_[np.ones(q), ds.x[basis]]
         coef = np.linalg.solve(sub, y[basis])

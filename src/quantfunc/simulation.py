@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import Dataset, order_index
-from .ranks import _fit_r_estimators
+from .ranks import _fit_slopes
 from .two_step import averaged_two_step_process, centered_process
 from . import functionals as fn
 
@@ -35,9 +35,11 @@ DESIGNS = ("iid_uniform_cube", "equispaced", "iid_normal")
 DEFAULT_COVERAGE_C = 5.0
 
 # Most responses (replicates times n) whose slopes are fitted in one batch.
-# A batch holds up to about 24 arrays of this size.  perfbench's monte_carlo
-# workload bounds peak_rss_mb at 5 % over a baseline of about 41.7 MB, which
-# leaves about 2 MB: 4096 raises its peak by about 1.4 %, 8192 by about 3.8 %.
+# A batch's fit peaks at 14 to 17 float64 arrays of this size (tracemalloc,
+# p = 1, from n = 1600 down to 100), about 0.5 MB.  perfbench's monte_carlo
+# workload bounds peak_rss_mb at 5 % over a baseline of about 42 MB.  On that
+# workload (2-core host, 2 runs each) 8192 cut an operation from about 0.63 s
+# to 0.47 s for 2.3 % more peak RSS; that gain is not yet measured in pairs.
 _BATCH_ELEMENTS = 4096
 
 _STD_NORMAL = NormalDist()
@@ -249,15 +251,15 @@ def _replicates(config: SimulationConfig, n: int):
     """``(ds, z, slopes)`` of each replicate at sample size n, in replicate order.
 
     The replicates are drawn a batch at a time and their slopes fitted
-    together, each the bits of a lone :func:`fit_r_estimator`.
+    together, each the bits of a lone :func:`fit_r_estimator`.  The studies
+    read only the slopes, so no dispersion is computed.
     """
     size = max(1, _BATCH_ELEMENTS // n)
     for start in range(0, config.replications, size):
         drawn = [generate(config, n, rep)
                  for rep in range(start, min(start + size, config.replications))]
         if config.p:
-            slopes = [est.beta_tilde for est in
-                      _fit_r_estimators([ds for ds, _ in drawn], config.lam)]
+            slopes = [b for b, _ in _fit_slopes([ds for ds, _ in drawn], config.lam)]
         else:
             slopes = [np.zeros(0)] * len(drawn)
         for (ds, z), b in zip(drawn, slopes):

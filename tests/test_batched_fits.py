@@ -14,12 +14,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import quantfunc.ranks as ranks
 import quantfunc.regression as regression
 import quantfunc.simulation as simulation
 from quantfunc import (Dataset, ErrorDistribution, IdentifiabilityError, SimulationConfig,
                        SolverFailure, fit_r_estimator, generate, rate_study_r_estimator,
                        rate_study_two_step)
-from quantfunc.ranks import _fit_r_estimators
+from quantfunc.ranks import _fit_r_estimators, _fit_slopes
 from test_acceptance import MC_CONFIG
 
 # The configuration of perfbench's monte_carlo workload, at seed 0.
@@ -50,21 +51,39 @@ def tied_set():
                    x=rng.integers(0, 4, (40, 2)).astype(float))
 
 
+def pivoting_set():
+    # Tied integer data whose first vertex, on independent lead rows, is not
+    # certified: it takes 3 pivots.
+    rng = np.random.default_rng(105)
+    return Dataset(y=rng.integers(0, 5, 40).astype(float),
+                   x=rng.integers(0, 4, (40, 2)).astype(float))
+
+
+def duplicated_set():
+    # Every observation twice: the q lead rows repeat one, so the basis
+    # needs the greedy repair.
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, (20, 2))
+    y = 1.0 + x.sum(axis=1) + rng.standard_normal(20)
+    return Dataset(y=np.repeat(y, 2), x=np.repeat(x, 2, axis=0))
+
+
 @pytest.mark.parametrize("config", [MC_CONFIG, BENCH_CONFIG, P3_CONFIG],
                          ids=["criteria_6_to_8", "bench_monte_carlo", "p3_cube_lam037"])
 def test_each_replicate_is_its_lone_fit_bit_for_bit(config, monkeypatch):
     batches = []
 
     def recording(datasets, lam):
-        estimates = _fit_r_estimators(datasets, lam)
-        batches.append(estimates)
-        return estimates
+        fits = list(_fit_slopes(datasets, lam))
+        batches.append(fits)
+        return fits
 
-    monkeypatch.setattr(simulation, "_fit_r_estimators", recording)
+    monkeypatch.setattr(simulation, "_fit_slopes", recording)
     rate_study_r_estimator(config)
-    got = [bits(est) for batch in batches for est in batch]
+    got = [([v.hex() for v in b], iterations) for batch in batches for b, iterations in batch]
     want = [bits(fit_r_estimator(generate(config, n, rep)[0], config.lam))
             for n in config.n_grid for rep in range(config.replications)]
+    want = [(slopes, iterations) for slopes, _, iterations in want]
     assert len(batches) > len(config.n_grid)  # the study did fit in batches
     assert max(len(batch) for batch in batches) > 1
     assert got == want
@@ -75,7 +94,7 @@ def interior_points(datasets, tau):
     y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
     floor = (x.shape[2] + 1) * np.finfo(float).eps * np.abs(y).sum(axis=1)
     return [(a.tobytes(), r.tobytes(), iterations)
-            for a, r, iterations in regression._interior_point(y, x, tau, floor)]
+            for a, r, iterations in zip(*regression._interior_point(y, x, tau, floor))]
 
 
 @pytest.mark.parametrize("size", [5, 40])
@@ -109,6 +128,53 @@ def test_a_tied_member_leaves_the_others_unchanged(monkeypatch):
     # The iterates too, not only the vertices solved from them.
     assert interior_points(batch, 0.5) == [point for ds in batch
                                            for point in interior_points([ds], 0.5)]
+
+
+def test_a_batch_mixing_first_vertices_pivots_and_repairs(monkeypatch):
+    rng = np.random.default_rng(23)
+    batch = [continuous_set(rng), tied_set(), continuous_set(rng), pivoting_set(),
+             duplicated_set(), continuous_set(rng)]
+    alone = [bits(fit_r_estimator(ds, 0.5)) for ds in batch]
+    went_on, fallbacks = [], []
+    vertex, lstsq = regression._vertex, np.linalg.lstsq
+
+    def recording(ds, tau, a, d, order, basis, floor, iterations):
+        coef, total = vertex(ds, tau, a, d, order, basis, floor, iterations)
+        went_on.append((next(k for k, member in enumerate(batch) if member is ds),
+                        "repair" if basis is None else "lead", total - iterations))
+        return coef, total
+
+    def counting(*args, **kwargs):
+        fallbacks.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "_vertex", recording)
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    assert [bits(est) for est in _fit_r_estimators(batch, 0.5)] == alone
+    # The continuous members are certified in the batch; the others go on
+    # alone: the tied set and the duplicated one to the repair, the
+    # pivoting one from its lead rows.
+    assert went_on == [(1, "repair", 0), (3, "lead", 3), (4, "repair", 0)]
+    assert fallbacks  # a tied member took the least-squares solve
+
+
+def test_studies_compute_no_dispersion(monkeypatch):
+    calls = []
+    dispersion = ranks.jaeckel_dispersion
+
+    def counting(*args):
+        calls.append(1)
+        return dispersion(*args)
+
+    monkeypatch.setattr(ranks, "jaeckel_dispersion", counting)
+    config = replace(BENCH_CONFIG, replications=4)
+    rate_study_r_estimator(config)
+    rate_study_two_step(config)
+    assert calls == []
+    ds = generate(config, 100, 0)[0]
+    est = fit_r_estimator(ds, config.lam)
+    assert calls == [1]
+    assert est.dispersion == dispersion(est.beta_tilde, ds, config.lam)
 
 
 def test_a_failing_study_raises_what_the_first_lone_fit_raises(monkeypatch):

@@ -305,6 +305,21 @@ class TestFitREstimator:
         assert math.fsum(check_loss_vec(r, lam)) == pytest.approx(est.dispersion,
                                                                   rel=1e-14)
 
+    @pytest.mark.parametrize("ds, lam", [
+        (Dataset(y=np.zeros(3), x=[[1.0], [2.0], [0.0]]), 0.25),
+        (Dataset(y=np.zeros(3), x=[[1.0], [2.0], [0.0]]), 0.37),
+        (Dataset(y=np.zeros(3), x=[[1.0], [2.0], [0.0]]), 0.5),
+        (Dataset(y=np.zeros(6), x=np.random.default_rng(1).uniform(size=(6, 1))), 0.5),
+    ], ids=["three_rows_0.25", "three_rows_0.37", "three_rows_0.5", "six_rows_0.5"])
+    def test_zero_response_is_fitted_at_once(self, ds, lam):
+        # The least-squares start is exact, so the gap is 0 before any
+        # iteration: no division by a zero multiplier, no warning.
+        with np.errstate(all="raise"):
+            est = fit_r_estimator(ds, lam)
+        assert est.beta_tilde.tolist() == [0.0]
+        assert est.dispersion == 0.0
+        assert est.iterations == 0
+
     def test_singular_design_rejected(self):
         from quantfunc import IdentifiabilityError
         x = np.array([[1.0, 2.0]] * 5)  # zero centered scatter
