@@ -9,7 +9,8 @@ strings:
 - R-estimator slopes, dispersions and iteration counts at n = 2e4 for
   p = 1, 2, 5 (the ``fit_large`` datasets), on the Monte Carlo designs at
   n = 100, 400, 1600, and on small random and tied datasets;
-- dispersions and Hajek scores at fixed slopes, tied residuals included;
+- dispersions and Hajek scores (``ranks._scores``, a name both trees
+  must have) at fixed slopes, tied residuals included;
 - two-step intercepts on a grid of levels, at the true slopes;
 - the simplex vertex and the regression-quantile coefficients at n = 400,
   p = 2, and on tied data;
@@ -82,7 +83,7 @@ def emit() -> dict:
             d = qf.jaeckel_dispersion(b, tied, lam)
             residuals = tied.y - tied.x @ b
             out[f"dispersion s={s} b={t}"] = _hex([d])
-            out[f"scores s={s} b={t}"] = _hex(qf.hajek_scores(residuals, lam).scores)
+            out[f"scores s={s} b={t}"] = _hex(qf.ranks._scores(residuals, lam))
 
     vertices = []
     solve = regression.solve_simplex

@@ -8,13 +8,11 @@ plus exact check-loss quantile regression and a Monte Carlo rate harness.
 
 from .errors import (DataError, DomainError, IdentifiabilityError,
                      QuantfuncError, SolverFailure)
-from .model import (Dataset, DesignDiagnostics, OrderStatisticIndex,
-                    StepQuantileProcess, check_loss, design_diagnostics,
-                    empirical_quantile_process, order_index)
+from .model import (Dataset, DesignDiagnostics, StepQuantileProcess,
+                    design_diagnostics, empirical_quantile_process, order_index)
 from .regression import (QuantileFit, averaged_regression_quantile,
-                         check_loss_objective, fit_regression_quantile)
-from .ranks import (RankScoreVector, REstimate, fit_r_estimator,
-                    hajek_scores, jaeckel_dispersion)
+                         fit_regression_quantile)
+from .ranks import REstimate, fit_r_estimator, jaeckel_dispersion
 from .two_step import (AveragedTwoStepProcess, TwoStepQuantile,
                        averaged_two_step_process, centered_process,
                        two_step_quantile)

@@ -17,8 +17,7 @@ import sys
 import numpy as np
 
 from .errors import DataError, DomainError, IdentifiabilityError, QuantfuncError
-from .model import (Dataset, StepQuantileProcess, design_diagnostics,
-                    empirical_quantile_process)
+from .model import Dataset, design_diagnostics, empirical_quantile_process
 from .ranks import fit_r_estimator
 from .two_step import averaged_two_step_process, centered_process, two_step_quantile
 from . import functionals as fn
@@ -147,7 +146,7 @@ def run_fit(args) -> None:
     if args.format == "csv":
         if not args.output:
             raise CliError("config", "csv format requires --output")
-        StepQuantileProcess(values=proc.sorted_adjusted).to_csv(args.output)
+        proc.to_csv(args.output)
         return
     report = {
         "lambda": lam,
@@ -157,7 +156,7 @@ def run_fit(args) -> None:
         "dispersion": est.dispersion if est else None,
         "two_step_intercepts": intercepts,
         "nuisance_estimate": proc.nuisance_estimate,
-        "averaged_process": proc.sorted_adjusted,
+        "averaged_process": proc.values,
         "design_diagnostics": {
             "max_centered_norm": diag.max_centered_norm,
             "max_leverage": diag.max_leverage,
@@ -179,7 +178,7 @@ def run_functional(args) -> None:
         proc, source = empirical_quantile_process(ds.y), "empirical"
     elif args.functional in ("lorenz", "gastwirth_j"):
         # Shares of a total: the centred process has mean zero.
-        proc = StepQuantileProcess(averaged_two_step_process(ds, args.lam).sorted_adjusted)
+        proc = averaged_two_step_process(ds, args.lam)
         source = "averaged_two_step"
     else:
         proc = centered_process(averaged_two_step_process(ds, args.lam))

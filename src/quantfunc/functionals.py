@@ -1,7 +1,8 @@
 """Quantile functionals of a step quantile process.
 
-Every functional accepts any :class:`StepQuantileProcess` (empirical or the
-centered two-step process) and returns a :class:`FunctionalEstimate`.  Tail
+Every functional accepts any :class:`StepQuantileProcess` (empirical, the
+averaged two-step process or its centered form) and returns a
+:class:`FunctionalEstimate`.  Tail
 averages use whole order statistics; the Lorenz curve uses fractional-cell
 integration so that L(1) = 1 exactly.  Counts taken from a level use the
 exact ``n * alpha`` of :func:`~quantfunc.model.scaled_level`.
@@ -71,7 +72,7 @@ def cvar(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
     """Expected shortfall: mean of the ``n - ceil(n alpha)`` order statistics
     above the alpha-quantile."""
     n = proc.n
-    m = n - order_index(alpha, n).index
+    m = n - order_index(alpha, n)
     if m < 1:
         raise DomainError(f"tail too small: n - ceil(n alpha) = 0 for n={n}, alpha={alpha}")
     value = float(np.mean(proc.values[n - m:]))

@@ -93,29 +93,11 @@ class DesignDiagnostics:
     x1_suspect: bool
 
 
-@dataclass(frozen=True)
-class OrderStatisticIndex:
-    """1-based rank ``max(1, ceil(n * alpha))`` of the alpha-quantile order statistic."""
-
-    alpha: float
-    n: int
-    index: int
-
-
-def check_loss(u: float, alpha: float) -> float:
-    """Asymmetric absolute loss ``u * (alpha - 1{u < 0})``.
+def check_loss_vec(u: np.ndarray, alpha: float) -> np.ndarray:
+    """Asymmetric absolute loss ``u * (alpha - 1{u < 0})``, elementwise.
 
     Its minimizer over constants is the alpha-quantile.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if not math.isfinite(u):
-        raise DomainError(f"u must be finite, got {u}")
-    return u * alpha if u >= 0.0 else u * (alpha - 1.0)
-
-
-def check_loss_vec(u: np.ndarray, alpha: float) -> np.ndarray:
-    """Vectorized :func:`check_loss` without per-element validation."""
     u = np.asarray(u, dtype=float)
     return u * (alpha - (u < 0.0))
 
@@ -130,8 +112,8 @@ def scaled_level(alpha: float, n: int) -> Fraction:
     return n * Fraction(repr(float(alpha)))
 
 
-def order_index(alpha: float, n: int) -> OrderStatisticIndex:
-    """Rank of the alpha-quantile order statistic in a sample of size n.
+def order_index(alpha: float, n: int) -> int:
+    """1-based rank of the alpha-quantile order statistic in a sample of size n.
 
     Uses the lower-empirical-quantile convention ``max(1, ceil(n * alpha))``,
     with ``n * alpha`` taken exactly by :func:`scaled_level`, which makes
@@ -142,9 +124,7 @@ def order_index(alpha: float, n: int) -> OrderStatisticIndex:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    idx = max(1, math.ceil(scaled_level(alpha, n)))
-    idx = min(idx, n)
-    return OrderStatisticIndex(alpha=alpha, n=n, index=idx)
+    return min(max(1, math.ceil(scaled_level(alpha, n))), n)
 
 
 @dataclass(frozen=True)
@@ -173,7 +153,7 @@ class StepQuantileProcess:
         return self.values.shape[0]
 
     def __call__(self, alpha: float) -> float:
-        return float(self.values[order_index(alpha, self.n).index - 1])
+        return float(self.values[order_index(alpha, self.n) - 1])
 
     def breakpoints(self) -> np.ndarray:
         """Grid k/n, k = 1, ..., n (upper ends of the constancy intervals)."""
@@ -199,6 +179,18 @@ def empirical_quantile_process(values) -> StepQuantileProcess:
     return StepQuantileProcess(values=np.sort(v))
 
 
+def _centered_scatter(ds: Dataset):
+    """Centered design, V_n, its ascending eigenvalues and whether V_n is
+    singular: its smallest eigenvalue at most :data:`SINGULARITY_RTOL` times
+    its largest, or its largest not positive.  Needs p >= 1."""
+    xc = ds.x - ds.x_mean
+    v_n = xc.T @ xc
+    v_n = (v_n + v_n.T) / 2.0
+    eigvals = np.linalg.eigvalsh(v_n)
+    singular = eigvals[0] <= SINGULARITY_RTOL * max(eigvals[-1], 0.0) or eigvals[-1] <= 0.0
+    return xc, v_n, eigvals, bool(singular)
+
+
 def design_diagnostics(ds: Dataset) -> DesignDiagnostics:
     """Centered-scatter diagnostics for the Noether-type design condition.
 
@@ -216,13 +208,10 @@ def design_diagnostics(ds: Dataset) -> DesignDiagnostics:
             v_n_over_n_spectral_norm=0.0,
             x1_suspect=False,
         )
-    xc = ds.x - ds.x_mean
-    v_n = xc.T @ xc
-    v_n = (v_n + v_n.T) / 2.0
-    eigvals = np.linalg.eigvalsh(v_n)
+    xc, v_n, eigvals, singular = _centered_scatter(ds)
     max_centered_norm = float(np.max(np.linalg.norm(xc, axis=1)))
     spectral = float(eigvals[-1] / n)
-    if eigvals[0] <= SINGULARITY_RTOL * max(eigvals[-1], 0.0) or eigvals[-1] <= 0.0:
+    if singular:
         max_leverage = None
     else:
         sol = np.linalg.solve(v_n, xc.T)

@@ -17,17 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, IdentifiabilityError, QuantfuncError
-from .model import Dataset, design_diagnostics
+from .model import Dataset, _centered_scatter
+from .model import design_diagnostics  # noqa: F401  perfbench's tracer binds this name here
 from .regression import _certified_vertices
-
-
-@dataclass(frozen=True)
-class RankScoreVector:
-    """Rank scores of a residual configuration at a fixed level."""
-
-    lam: float
-    scores: np.ndarray
-    mean_score: float
 
 
 @dataclass(frozen=True)
@@ -65,23 +57,6 @@ def _scores(r: np.ndarray, lam: float) -> np.ndarray:
     return scores
 
 
-def hajek_scores(residuals, lam: float) -> RankScoreVector:
-    """Piecewise-linear rank scores in [0, 1] for a residual vector.
-
-    With R_i the rank of residual i (ties broken by index):
-    0 below n*lambda, R_i - n*lambda on [n*lambda, n*lambda + 1), else 1.
-    """
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lambda must be in (0, 1), got {lam}")
-    r = np.asarray(residuals, dtype=float)
-    if r.ndim != 1 or r.size == 0:
-        raise DataError("residuals must be a nonempty vector")
-    if not np.all(np.isfinite(r)):
-        raise DataError("non-finite residuals")
-    scores = _scores(r, lam)
-    return RankScoreVector(lam=lam, scores=scores, mean_score=float(scores.mean()))
-
-
 def jaeckel_dispersion(b, ds: Dataset, lam: float) -> float:
     """Rank-weighted residual spread ``sum r_i (a_i - a_bar)`` at slopes b.
 
@@ -113,15 +88,9 @@ def fit_r_estimator(ds: Dataset, lam: float = 0.5) -> REstimate:
     :class:`SolverFailure`.  ``iterations`` counts the interior-point
     iterations plus the vertex pivots.
     """
-    return _fit_r_estimators([ds], lam)[0]
-
-
-def _fit_r_estimators(datasets: list[Dataset], lam: float) -> list[REstimate]:
-    """:func:`fit_r_estimator` of each dataset of a list of one n and p, their
-    LPs solved as one batch (see :func:`_fit_slopes`)."""
-    return [REstimate(lam=lam, beta_tilde=b, dispersion=jaeckel_dispersion(b, ds, lam),
-                      iterations=iterations)
-            for ds, (b, iterations) in zip(datasets, _fit_slopes(datasets, lam))]
+    [(b, iterations)] = _fit_slopes([ds], lam)
+    return REstimate(lam=lam, beta_tilde=b, dispersion=jaeckel_dispersion(b, ds, lam),
+                     iterations=iterations)
 
 
 def _fit_slopes(datasets: list[Dataset], lam: float):
@@ -137,7 +106,7 @@ def _fit_slopes(datasets: list[Dataset], lam: float):
         try:
             if ds.p == 0:
                 raise DataError("R-estimation needs p >= 1")
-            if design_diagnostics(ds).max_leverage is None:
+            if _centered_scatter(ds)[3]:
                 raise IdentifiabilityError("centered scatter matrix V_n is singular")
             if not 0.0 < lam < 1.0:
                 raise DomainError(f"lambda must be in (0, 1), got {lam}")

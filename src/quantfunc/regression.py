@@ -118,13 +118,6 @@ def _polish_vertex(ds: Dataset, alpha: float, a_design: np.ndarray,
     return coef
 
 
-def check_loss_objective(ds: Dataset, alpha: float, beta0: float, beta) -> float:
-    """Check-loss sum at an arbitrary coefficient vector."""
-    beta = np.asarray(beta, dtype=float)
-    residuals = ds.y - beta0 - (ds.x @ beta if ds.p else 0.0)
-    return float(np.sum(check_loss_vec(residuals, alpha)))
-
-
 def averaged_regression_quantile(fit: QuantileFit, ds: Dataset) -> float:
     """Mean-design evaluation ``beta0_hat + x_mean' beta_hat`` of a fit."""
     if fit.beta_hat.shape != (ds.p,):

@@ -300,10 +300,10 @@ def rate_study_two_step(config: SimulationConfig,
     sup_true, sup_mean = [], []
     for n in config.n_grid:
         d_true, d_mean = [], []
-        idx = np.array([order_index(a, n).index for a in config.alphas])
+        idx = np.array([order_index(a, n) for a in config.alphas])
         for ds, z, slopes in _replicates(config, n):
             proc = averaged_two_step_process(ds, config.lam, slopes=slopes)
-            b_vals = proc.sorted_adjusted[idx - 1]
+            b_vals = proc.values[idx - 1]
             z_sorted = np.sort(z)[idx - 1]
             nuisance_true = config.beta0 + (ds.x_mean @ beta if config.p else 0.0)
             d_true.append(np.max(np.abs(b_vals - nuisance_true - z_sorted)))

@@ -29,25 +29,19 @@ class TwoStepQuantile:
 
 
 @dataclass(frozen=True)
-class AveragedTwoStepProcess:
-    """Nondecreasing step process of slope-adjusted responses.
+class AveragedTwoStepProcess(StepQuantileProcess):
+    """The sorted slope-adjusted responses, as a step process, with the level
+    and slopes it was fitted at; ``nuisance_estimate`` is the response mean
+    used to center the process."""
 
-    Evaluation at alpha returns the ``order_index(alpha, n)``-th entry of
-    ``sorted_adjusted``; ``nuisance_estimate`` is the response mean used to
-    center the process.
-    """
-
-    sorted_adjusted: np.ndarray
     lam: float
     nuisance_estimate: float
     slopes: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.sorted_adjusted.shape[0]
-
-    def __call__(self, alpha: float) -> float:
-        return float(self.sorted_adjusted[order_index(alpha, self.n).index - 1])
+    def sorted_adjusted(self) -> np.ndarray:
+        """The process values; perfbench's ``fit_large`` reads this name."""
+        return self.values
 
 
 def _slopes(ds: Dataset, lam: float) -> np.ndarray:
@@ -66,7 +60,7 @@ def two_step_quantile(ds: Dataset, alpha: float, lam: float = 0.5,
     if slopes is None:
         slopes = _slopes(ds, lam)
     residuals = ds.y - (ds.x @ slopes if ds.p else 0.0)
-    k = order_index(alpha, ds.n).index
+    k = order_index(alpha, ds.n)
     intercept = float(np.partition(residuals, k - 1)[k - 1])
     return TwoStepQuantile(alpha=alpha, lam=lam, intercept=intercept,
                            slopes=np.asarray(slopes, dtype=float))
@@ -85,14 +79,11 @@ def averaged_two_step_process(ds: Dataset, lam: float = 0.5,
     slopes = np.asarray(slopes, dtype=float)
     # Same arithmetic path as intercept + x_bar'slopes, so the order-statistic
     # identity between the two holds exactly in floating point.
-    residuals = ds.y - (ds.x @ slopes if ds.p else 0.0)
-    adjusted = residuals + (ds.x_mean @ slopes if ds.p else 0.0)
-    return AveragedTwoStepProcess(
-        sorted_adjusted=np.sort(adjusted),
-        lam=lam,
-        nuisance_estimate=ds.y_mean,
-        slopes=slopes,
-    )
+    adjusted = ds.y - (ds.x @ slopes if ds.p else 0.0)
+    adjusted += ds.x_mean @ slopes if ds.p else 0.0
+    adjusted.sort()
+    return AveragedTwoStepProcess(values=adjusted, lam=lam,
+                                  nuisance_estimate=ds.y_mean, slopes=slopes)
 
 
 def centered_process(proc: AveragedTwoStepProcess,
@@ -105,4 +96,4 @@ def centered_process(proc: AveragedTwoStepProcess,
     """
     if nuisance is None:
         nuisance = proc.nuisance_estimate
-    return StepQuantileProcess(values=proc.sorted_adjusted - nuisance)
+    return StepQuantileProcess(values=proc.values - nuisance)

@@ -18,9 +18,9 @@ import quantfunc.ranks as ranks
 import quantfunc.regression as regression
 import quantfunc.simulation as simulation
 from quantfunc import (Dataset, ErrorDistribution, IdentifiabilityError, SimulationConfig,
-                       SolverFailure, fit_r_estimator, generate, rate_study_r_estimator,
-                       rate_study_two_step)
-from quantfunc.ranks import _fit_r_estimators, _fit_slopes
+                       SolverFailure, fit_r_estimator, generate, jaeckel_dispersion,
+                       rate_study_r_estimator, rate_study_two_step)
+from quantfunc.ranks import _fit_slopes
 from test_acceptance import MC_CONFIG
 
 # The configuration of perfbench's monte_carlo workload, at seed 0.
@@ -37,6 +37,12 @@ P3_CONFIG = SimulationConfig(
 
 def bits(est):
     return [v.hex() for v in est.beta_tilde], est.dispersion.hex(), est.iterations
+
+
+def batch_bits(datasets, lam):
+    """:func:`bits` of each dataset's fit, their LPs solved as one batch."""
+    return [([v.hex() for v in b], jaeckel_dispersion(b, ds, lam).hex(), iterations)
+            for ds, (b, iterations) in zip(datasets, _fit_slopes(datasets, lam))]
 
 
 def continuous_set(rng, n=40, p=2):
@@ -117,10 +123,10 @@ def test_a_tied_member_leaves_the_others_unchanged(monkeypatch):
     rng = np.random.default_rng(21)
     continuous = [continuous_set(rng) for _ in range(4)]
     alone = [bits(fit_r_estimator(ds, 0.5)) for ds in continuous]
-    together = [bits(est) for est in _fit_r_estimators(continuous, 0.5)]
+    together = batch_bits(continuous, 0.5)
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     batch = continuous[:2] + [tied_set()] + continuous[2:]
-    mixed = [bits(est) for est in _fit_r_estimators(batch, 0.5)]
+    mixed = batch_bits(batch, 0.5)
     assert fallbacks  # the tied member did take the least-squares solve
     assert together == alone
     assert mixed[:2] + mixed[3:] == alone
@@ -150,7 +156,7 @@ def test_a_batch_mixing_first_vertices_pivots_and_repairs(monkeypatch):
 
     monkeypatch.setattr(regression, "_vertex", recording)
     monkeypatch.setattr(np.linalg, "lstsq", counting)
-    assert [bits(est) for est in _fit_r_estimators(batch, 0.5)] == alone
+    assert batch_bits(batch, 0.5) == alone
     # The continuous members are certified in the batch; the others go on
     # alone: the tied set and the duplicated one to the repair, the
     # pivoting one from its lead rows.
@@ -199,10 +205,10 @@ def test_errors_are_raised_in_dataset_order(monkeypatch):
     ok = [continuous_set(rng) for _ in range(3)]
     flat = Dataset(y=rng.standard_normal(40), x=np.column_stack([np.ones(40), rng.uniform(size=40)]))
     with pytest.raises(IdentifiabilityError):
-        _fit_r_estimators(ok[:2] + [flat] + ok[2:], 0.5)
+        batch_bits(ok[:2] + [flat] + ok[2:], 0.5)
     monkeypatch.setattr(regression, "_IPM_MAX_ITER", 0)
     with pytest.raises(SolverFailure):  # the first dataset fails before the flat one
-        _fit_r_estimators([ok[0], flat], 0.5)
+        batch_bits([ok[0], flat], 0.5)
 
 
 def traced_peak(config):

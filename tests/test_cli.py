@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from quantfunc import StepQuantileProcess, averaged_two_step_process, lorenz
+from quantfunc import averaged_two_step_process, lorenz
 from quantfunc.cli import _json_text, main, read_csv_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -142,7 +142,7 @@ class TestFunctional:
             assert 0.0 < payload["value"] < 1.0
         ds = read_csv_dataset(str(path), "y", ["x1", "x2"])
         proc = averaged_two_step_process(ds, 0.5)
-        want = lorenz(StepQuantileProcess(proc.sorted_adjusted), 0.3).value
+        want = lorenz(proc, 0.3).value
         code, out, _ = run(capsys, "--command", "functional", "--input", str(path),
                            "--response", "y", "--covariates", "x1,x2",
                            "--functional", "lorenz", "--level", "0.3")

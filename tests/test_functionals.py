@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from quantfunc import (DomainError, cvar, empirical_quantile_process,
+from quantfunc import (Dataset, DomainError, StepQuantileProcess,
+                       averaged_two_step_process, cvar, empirical_quantile_process,
                        gastwirth_j, linear_functional, lorenz, mean_excess,
                        staudte_r)
 from quantfunc.functionals import QUAD_NODES, quad
@@ -221,3 +222,17 @@ class TestAgainstDirectSampleFormulas:
         lo = s[int(np.ceil(n * 0.2)) - 1]
         hi = s[int(np.ceil(n * 0.8)) - 1]
         assert staudte_r(proc, 0.4).value == pytest.approx(lo / hi, rel=1e-14)
+
+
+class TestAveragedTwoStepInput:
+    def test_reads_the_process_as_its_values_wrapped_anew(self):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.0, 1.0, (60, 2))
+        ds = Dataset(y=5.0 + x @ [1.0, -0.5] + rng.uniform(0.0, 1.0, 60), x=x)
+        proc = averaged_two_step_process(ds, 0.5)
+        rewrapped = StepQuantileProcess(values=proc.values.copy())
+        for functional, level in [(cvar, 0.9), (lorenz, 0.3), (gastwirth_j, 0.2),
+                                  (staudte_r, 0.4), (mean_excess, 5.5)]:
+            got, want = functional(proc, level), functional(rewrapped, level)
+            assert got.value.hex() == want.value.hex()
+            assert got == want

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from quantfunc import (Dataset, DomainError, IdentifiabilityError,
-                       averaged_regression_quantile, check_loss_objective,
-                       empirical_quantile_process, fit_regression_quantile)
+                       averaged_regression_quantile, empirical_quantile_process,
+                       fit_regression_quantile)
 from quantfunc.regression import RESIDUAL_ZERO_TOL
+from test_acceptance import check_loss_objective
 
 
 def directional_derivative(ds, alpha, beta0, beta, direction):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from quantfunc import (Dataset, averaged_two_step_process, centered_process,
-                       empirical_quantile_process, two_step_quantile)
-from quantfunc.model import StepQuantileProcess, order_index
+from quantfunc import (Dataset, DataError, averaged_two_step_process,
+                       centered_process, empirical_quantile_process, two_step_quantile)
+from quantfunc.model import StepQuantileProcess
 
 ALPHA_GRID = [round(0.05 * k, 3) for k in range(1, 20)]
 
@@ -41,13 +41,13 @@ class TestAveragedProcess:
         ds = Dataset(y=y, x=np.zeros((12, 0)))
         proc = averaged_two_step_process(ds, 0.5)
         emp = empirical_quantile_process(y)
-        assert np.array_equal(proc.sorted_adjusted, emp.values)
+        assert np.array_equal(proc.values, emp.values)
 
     def test_noiseless_line_is_flat(self):
         x = np.arange(5.0).reshape(-1, 1)
         ds = Dataset(y=5.0 + 2.0 * x[:, 0], x=x)
         proc = averaged_two_step_process(ds, 0.5)
-        assert np.ptp(proc.sorted_adjusted) < 1e-6
+        assert np.ptp(proc.values) < 1e-6
 
     def test_order_statistic_identity_exact(self):
         rng = np.random.default_rng(19)
@@ -62,10 +62,28 @@ class TestAveragedProcess:
         rng = np.random.default_rng(20)
         ds = random_dataset(rng, 25, 2)
         proc = averaged_two_step_process(ds, 0.5)
-        assert np.all(np.diff(proc.sorted_adjusted) >= 0)
+        assert np.all(np.diff(proc.values) >= 0)
         assert proc.n == 25
         distinct = {proc(a) for a in np.linspace(0.01, 0.99, 200)}
         assert len(distinct) <= 25
+
+    def test_is_a_read_only_step_process(self):
+        rng = np.random.default_rng(27)
+        ds = random_dataset(rng, 20, 2)
+        proc = averaged_two_step_process(ds, 0.5)
+        assert isinstance(proc, StepQuantileProcess)
+        assert proc.sorted_adjusted is proc.values
+        assert not proc.values.flags.writeable
+        want = np.sort(ds.y - ds.x @ proc.slopes + ds.x_mean @ proc.slopes)
+        assert proc.values.tobytes() == want.tobytes()
+
+    def test_overflowing_slopes_raise(self):
+        # x'b overflows to inf: a process with a non-finite value is refused
+        # like any other step process.
+        ds = Dataset(y=np.arange(4.0), x=np.array([[0.0], [1.0], [2.0], [1e300]]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DataError, match="non-finite process values"):
+            averaged_two_step_process(ds, 0.5, slopes=np.array([1e10]))
 
 
 class TestCenteredProcess:
@@ -106,7 +124,7 @@ class TestCenteredProcess:
         ds = random_dataset(rng, 15, 1)
         proc = averaged_two_step_process(ds, 0.5)
         cp = centered_process(proc, nuisance=2.0)
-        assert cp.values == pytest.approx(proc.sorted_adjusted - 2.0)
+        assert cp.values == pytest.approx(proc.values - 2.0)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(25)
