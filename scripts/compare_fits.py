@@ -12,13 +12,18 @@ strings:
 - dispersions and Hajek scores (``ranks._scores``, a name both trees
   must have) at fixed slopes, tied residuals included;
 - two-step intercepts on a grid of levels, at the true slopes;
+- the averaged two-step process and its centred form on the ``fit_large``
+  datasets at the true slopes, and at p = 0 on a response that holds
+  -0.0, +0.0 and ties, with that response's two-step intercepts;
 - the simplex vertex and the regression-quantile coefficients at n = 400,
   p = 2, and on tied data;
 - the ``to_json()`` text of the three simulation studies on the
   configuration of perfbench's ``monte_carlo`` workload at seeds 0-2, on
   ``MC_CONFIG`` of the acceptance criteria 6-8, on a p = 3
   ``iid_uniform_cube`` design at lambda = 0.37 and on a p = 2
-  ``iid_normal`` design with ``shifted_exponential`` errors.
+  ``iid_normal`` design with ``shifted_exponential`` errors; and the
+  two-step rate and CVaR consistency studies of a p = 0 ``iid_normal``
+  design.
 
 Prints one line per differing case and a summary that counts the
 differing cases of each kind; exits 1 on any difference.  Takes about 25
@@ -51,6 +56,10 @@ def emit() -> dict:
                      "iterations": est.iterations}
         return est.beta_tilde
 
+    def process(name, proc):
+        out[name] = {"values": _hex(proc.values),
+                     "centered": _hex(qf.centered_process(proc).values)}
+
     alphas = [round(0.05 * k, 2) for k in range(1, 20)]
     for p in (1, 2, 5):
         rng = np.random.default_rng([0, p])
@@ -61,6 +70,13 @@ def emit() -> dict:
         b = np.arange(1.0, p + 1.0)
         out[f"intercepts p={p}"] = _hex([qf.two_step_quantile(ds, a, 0.5, slopes=b).intercept
                                          for a in alphas])
+        process(f"process p={p}", qf.averaged_two_step_process(ds, 0.5, slopes=b))
+    rng = np.random.default_rng(5)
+    y = np.round(rng.standard_normal(60), 1)
+    y[::7], y[3::7] = -0.0, 0.0
+    ds = qf.Dataset(y=y, x=np.zeros((60, 0)))
+    process("process p=0", qf.averaged_two_step_process(ds, 0.5))
+    out["intercepts p=0"] = _hex([qf.two_step_quantile(ds, a, 0.5).intercept for a in alphas])
     for n in (100, 400, 1600):
         for rep in range(3):
             rng = np.random.default_rng([1, n, rep])
@@ -124,6 +140,12 @@ def emit() -> dict:
         reports = [*sim.rate_study_two_step(cfg), sim.rate_study_r_estimator(cfg),
                    sim.functional_consistency_study(cfg, "cvar", 0.9)]
         out[name] = [r.to_json() for r in reports]
+    # The slope study raises at p = 0.
+    cfg = sim.SimulationConfig(
+        n_grid=(50, 200), p=0, beta0=0.0, beta=(), design="iid_normal",
+        error_dist=sim.ErrorDistribution("standard_normal"), replications=30, seed=11)
+    out["study p=0 normal"] = [r.to_json() for r in [
+        *sim.rate_study_two_step(cfg), sim.functional_consistency_study(cfg, "cvar", 0.9)]]
     return out
 
 

@@ -138,23 +138,20 @@ def run_fit(args) -> None:
     est = fit_r_estimator(ds, lam) if ds.p else None
     slopes = est.beta_tilde if est else np.zeros(0)
     proc = averaged_two_step_process(ds, lam, slopes=slopes)
-    diag = design_diagnostics(ds)
-    intercepts = {
-        repr(a): two_step_quantile(ds, a, lam, slopes=slopes).intercept
-        for a in args.alphas
-    }
     if args.format == "csv":
-        if not args.output:
-            raise CliError("config", "csv format requires --output")
         proc.to_csv(args.output)
         return
+    diag = design_diagnostics(ds)
     report = {
         "lambda": lam,
         "n": ds.n,
         "p": ds.p,
         "slopes": [float(s) for s in slopes],
         "dispersion": est.dispersion if est else None,
-        "two_step_intercepts": intercepts,
+        "two_step_intercepts": {
+            repr(a): two_step_quantile(ds, a, lam, slopes=slopes).intercept
+            for a in args.alphas
+        },
         "nuisance_estimate": proc.nuisance_estimate,
         "averaged_process": proc.values,
         "design_diagnostics": {
@@ -168,11 +165,6 @@ def run_fit(args) -> None:
 
 
 def run_functional(args) -> None:
-    if args.functional not in FUNCTIONALS:
-        raise CliError("config", f"unknown functional {args.functional!r}; "
-                                 f"choose from {sorted(FUNCTIONALS)}")
-    if args.level is None:
-        raise CliError("config", "--level is required for a functional run")
     ds = read_csv_dataset(args.input, args.response, args.covariates)
     if ds.p == 0:
         proc, source = empirical_quantile_process(ds.y), "empirical"
@@ -183,7 +175,8 @@ def run_functional(args) -> None:
     else:
         proc = centered_process(averaged_two_step_process(ds, args.lam))
         source = "centered_two_step"
-    est = FUNCTIONALS[args.functional](proc, args.level)
+    with np.errstate(over="ignore"):  # an overflowed value is refused as not finite
+        est = FUNCTIONALS[args.functional](proc, args.level)
     payload = {
         "kind": est.kind,
         "level": est.level,
@@ -193,17 +186,29 @@ def run_functional(args) -> None:
         "process_source": source,
     }
     if args.format == "csv":
-        if not args.output:
-            raise CliError("config", "csv format requires --output")
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("kind,level,value,n,lambda,process_source\n")
-            fh.write(f"{est.kind},{est.level!r},{est.value!r},{est.n},"
-                     f"{args.lam!r},{source}\n")
+            fh.write(",".join(payload) + "\n")
+            fh.write(",".join(map(str, payload.values())) + "\n")
         return
     _dump(payload, args.output)
 
 
-def _load_sim_config(args) -> tuple[sim.SimulationConfig, dict]:
+def _whole(value) -> int:
+    """``int(value)``, refusing a float with a fractional part."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
+def _load_sim_config(args) -> tuple[sim.SimulationConfig, str, tuple]:
+    """Read and check the whole simulate config before any study runs: the
+    study's configuration, its name and its further arguments.
+
+    Missing keys and study problems are reported together.  ``lambda``,
+    ``alphas``, ``replications`` and ``seed`` default to those of
+    :class:`~quantfunc.simulation.SimulationConfig`.
+    """
     if not args.config:
         raise CliError("config", "simulate requires --config with a JSON config file")
     try:
@@ -211,67 +216,48 @@ def _load_sim_config(args) -> tuple[sim.SimulationConfig, dict]:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError("config", f"cannot parse config {args.config}: {exc}") from exc
-    problems = []
-    def take(key, default=None, required=False):
-        if key not in raw:
-            if required:
-                problems.append(f"missing key {key!r}")
-            return default
-        return raw[key]
-    n_grid = take("n_grid", required=True)
-    p = take("p", required=True)
-    beta0 = take("beta0", 0.0)
-    beta = take("beta", [])
-    error_dist = take("error_dist", "standard_normal")
-    error_param = take("error_param", 1.0)
-    design = take("design", "iid_uniform_cube")
-    lam = take("lambda", 0.5)
-    alphas = take("alphas", None)
-    replications = take("replications", 100)
-    seed = args.seed if args.seed is not None else take("seed", 0)
-    study = take("study", "two_step_rate")
+    if not isinstance(raw, dict):
+        raise CliError("config", f"config {args.config} must be a JSON object")
+    problems = [f"missing key {key!r}" for key in ("n_grid", "p") if key not in raw]
+    study = raw.get("study", "two_step_rate")
     if study not in ("two_step_rate", "r_estimator_rate", "functional_consistency"):
         problems.append(f"unknown study {study!r}")
     if study == "functional_consistency":
-        if take("functional") is None:
-            problems.append("functional_consistency needs key 'functional'")
-        if take("level") is None:
-            problems.append("functional_consistency needs key 'level'")
+        problems += [f"functional_consistency needs key {key!r}"
+                     for key in ("functional", "level") if raw.get(key) is None]
     if problems:
         raise CliError("config", "; ".join(problems))
+    if args.seed is not None:
+        raw["seed"] = args.seed
     try:
-        kwargs = dict(
-            n_grid=tuple(int(n) for n in n_grid),
-            p=int(p),
-            beta0=float(beta0),
-            beta=tuple(float(b) for b in beta),
-            error_dist=sim.ErrorDistribution(kind=error_dist, param=float(error_param)),
-            design=design,
-            lam=float(lam),
-            replications=int(replications),
-            seed=int(seed),
-        )
-        if alphas is not None:
-            kwargs["alphas"] = tuple(float(a) for a in alphas)
-        config = sim.SimulationConfig(**kwargs)
-    except (DomainError, TypeError, ValueError) as exc:
+        optional = {name: parse(raw[key]) for key, name, parse in (
+            ("lambda", "lam", float), ("replications", "replications", _whole),
+            ("seed", "seed", _whole)) if key in raw}
+        if raw.get("alphas") is not None:
+            optional["alphas"] = tuple(float(a) for a in raw["alphas"])
+        config = sim.SimulationConfig(
+            n_grid=tuple(_whole(n) for n in raw["n_grid"]), p=_whole(raw["p"]),
+            beta0=float(raw.get("beta0", 0.0)),
+            beta=tuple(float(b) for b in raw.get("beta", [])),
+            error_dist=sim.ErrorDistribution(raw.get("error_dist", "standard_normal"),
+                                             float(raw.get("error_param", 1.0))),
+            design=raw.get("design", "iid_uniform_cube"), **optional)
+        extra = ((raw["functional"], float(raw["level"]))
+                 if study == "functional_consistency" else ())
+    except (DomainError, TypeError, ValueError, OverflowError) as exc:
         raise CliError("config", str(exc)) from exc
-    return config, raw
+    return config, study, extra
 
 
 def run_simulate(args) -> None:
-    config, raw = _load_sim_config(args)
-    study = raw.get("study", "two_step_rate")
+    config, study, extra = _load_sim_config(args)
     if study == "two_step_rate":
         reports = sim.rate_study_two_step(config)
     elif study == "r_estimator_rate":
         reports = [sim.rate_study_r_estimator(config)]
     else:
-        reports = [sim.functional_consistency_study(config, raw["functional"],
-                                                    float(raw["level"]))]
+        reports = [sim.functional_consistency_study(config, *extra)]
     if args.format == "csv":
-        if not args.output:
-            raise CliError("config", "csv format requires --output")
         sim.reports_to_csv(reports, args.output)
         return
     payload = [json.loads(r.to_json()) for r in reports]
@@ -302,20 +288,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Parse and check every flag, before any input is read."""
+    args.covariates = [c for c in args.covariates.split(",") if c.strip()]
+    try:
+        args.alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
+    except ValueError as exc:
+        raise CliError("config", f"bad --alpha list: {exc}") from exc
+    for a in args.alphas:
+        if not 0.0 < a < 1.0:
+            raise CliError("config", f"--alpha levels must be in (0, 1), got {a}")
+    if not 0.0 < args.lam < 1.0:
+        raise CliError("config", f"--lambda must be in (0, 1), got {args.lam}")
+    if args.command in ("fit", "functional"):
+        if not args.input or not args.response:
+            raise CliError("config", f"{args.command} requires --input and --response")
+    if args.command == "functional":
+        if args.functional not in FUNCTIONALS:
+            raise CliError("config", f"unknown functional {args.functional!r}; "
+                                     f"choose from {sorted(FUNCTIONALS)}")
+        if args.level is None:
+            raise CliError("config", "--level is required for a functional run")
+    if args.format == "csv" and not args.output:
+        raise CliError("config", "csv format requires --output")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.covariates = [c for c in args.covariates.split(",") if c.strip()]
-        try:
-            args.alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
-        except ValueError as exc:
-            raise CliError("config", f"bad --alpha list: {exc}") from exc
-        if not 0.0 < args.lam < 1.0:
-            raise CliError("config", f"--lambda must be in (0, 1), got {args.lam}")
-        if args.command in ("fit", "functional"):
-            if not args.input or not args.response:
-                raise CliError("config", f"{args.command} requires --input and --response")
+        _check_flags(args)
         if args.command == "fit":
             run_fit(args)
         elif args.command == "functional":

@@ -28,12 +28,16 @@ _NODE_WEIGHTS = _NODE_WEIGHTS / 2.0
 
 @dataclass(frozen=True)
 class FunctionalEstimate:
-    """Scalar functional estimate with its level and sample size."""
+    """Finite scalar functional estimate with its level and sample size."""
 
     kind: str   # cvar | mean_excess | lorenz | gastwirth_j | staudte_r | linear
     level: float
     value: float
     n: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DomainError(f"{self.kind} at level {self.level} is not finite: {self.value}")
 
 
 def quad(weight, n: int) -> np.ndarray:

@@ -70,7 +70,7 @@ class Dataset:
     @property
     def x_mean(self) -> np.ndarray:
         """Covariate column means, shape (p,)."""
-        return self.x.mean(axis=0) if self.p > 0 else np.zeros(0)
+        return self.x.mean(axis=0)
 
     @property
     def y_mean(self) -> float:

@@ -30,9 +30,8 @@ from . import functionals as fn
 ERROR_DISTS = ("standard_normal", "shifted_exponential", "uniform_centered")
 DESIGNS = ("iid_uniform_cube", "equispaced", "iid_normal")
 
-# Default sup-deviation threshold c in the coverage fraction
-# P(sup-deviation < c / sqrt(n)).
-DEFAULT_COVERAGE_C = 5.0
+# Sup-deviation threshold c in the coverage fraction P(sup-deviation < c / sqrt(n)).
+COVERAGE_C = 5.0
 
 # Most responses (replicates times n) whose slopes are fitted in one batch.
 # A batch's fit peaks at 14 to 17 float64 arrays of this size (tracemalloc,
@@ -170,6 +169,8 @@ class SimulationConfig:
             raise DomainError("lambda must be in (0, 1)")
         if self.replications < 1 or min(self.n_grid, default=0) < self.p + 2:
             raise DomainError("invalid replications or n_grid")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset,
     x = _design_matrix(config, n, rng)
     z = config.error_dist.sample(rng, n)
     beta = np.asarray(config.beta, dtype=float)
-    y = config.beta0 + (x @ beta if config.p else 0.0) + z
+    y = config.beta0 + x @ beta + z
     return Dataset(y=y, x=x), z
 
 
@@ -274,20 +275,19 @@ def _fit_slope(n_grid, rmse) -> float:
     return float(slope)
 
 
-def _summarize(metric, n_grid, errors_by_n, coverage_c) -> RateReport:
+def _summarize(metric, n_grid, errors_by_n) -> RateReport:
     rmse, coverage, mean_err = [], [], []
     for n, errs in zip(n_grid, errors_by_n):
         errs = np.asarray(errs, dtype=float)
         rmse.append(float(np.sqrt(np.mean(errs ** 2))))
-        coverage.append(float(np.mean(np.abs(errs) < coverage_c / math.sqrt(n))))
+        coverage.append(float(np.mean(np.abs(errs) < COVERAGE_C / math.sqrt(n))))
         mean_err.append(float(np.mean(errs)))
     return RateReport(metric=metric, n_grid=tuple(n_grid), rmse=tuple(rmse),
                       fitted_slope=_fit_slope(n_grid, rmse),
                       coverage=tuple(coverage), mean_error=tuple(mean_err))
 
 
-def rate_study_two_step(config: SimulationConfig,
-                        coverage_c: float = DEFAULT_COVERAGE_C) -> list[RateReport]:
+def rate_study_two_step(config: SimulationConfig) -> list[RateReport]:
     """Sup-over-alpha closeness of the averaged two-step process to the error
     order statistics.
 
@@ -305,19 +305,18 @@ def rate_study_two_step(config: SimulationConfig,
             proc = averaged_two_step_process(ds, config.lam, slopes=slopes)
             b_vals = proc.values[idx - 1]
             z_sorted = np.sort(z)[idx - 1]
-            nuisance_true = config.beta0 + (ds.x_mean @ beta if config.p else 0.0)
+            nuisance_true = config.beta0 + ds.x_mean @ beta
             d_true.append(np.max(np.abs(b_vals - nuisance_true - z_sorted)))
             d_mean.append(np.max(np.abs(b_vals - ds.y_mean - z_sorted)))
         sup_true.append(d_true)
         sup_mean.append(d_mean)
     return [
-        _summarize("two_step_sup_dev_true_nuisance", config.n_grid, sup_true, coverage_c),
-        _summarize("two_step_sup_dev_mean_centered", config.n_grid, sup_mean, coverage_c),
+        _summarize("two_step_sup_dev_true_nuisance", config.n_grid, sup_true),
+        _summarize("two_step_sup_dev_mean_centered", config.n_grid, sup_mean),
     ]
 
 
-def rate_study_r_estimator(config: SimulationConfig,
-                           coverage_c: float = DEFAULT_COVERAGE_C) -> RateReport:
+def rate_study_r_estimator(config: SimulationConfig) -> RateReport:
     """RMSE of the slope-estimate error norm across the sample-size grid."""
     if config.p < 1:
         raise DomainError("slope rate study needs p >= 1")
@@ -326,11 +325,11 @@ def rate_study_r_estimator(config: SimulationConfig,
     for n in config.n_grid:
         errors_by_n.append([float(np.linalg.norm(slopes - beta))
                             for _, _, slopes in _replicates(config, n)])
-    return _summarize("r_estimator_norm_error", config.n_grid, errors_by_n, coverage_c)
+    return _summarize("r_estimator_norm_error", config.n_grid, errors_by_n)
 
 
-def functional_consistency_study(config: SimulationConfig, kind: str, level: float,
-                                 coverage_c: float = DEFAULT_COVERAGE_C) -> RateReport:
+def functional_consistency_study(config: SimulationConfig, kind: str,
+                                 level: float) -> RateReport:
     """Error of a functional of the centered two-step process against its
     population value for the configured error law."""
     truth = config.error_dist.true_functional(kind, level)
@@ -342,4 +341,4 @@ def functional_consistency_study(config: SimulationConfig, kind: str, level: flo
             proc = centered_process(averaged_two_step_process(ds, config.lam, slopes=slopes))
             errs.append(estimator(proc, level).value - truth)
         errors_by_n.append(errs)
-    return _summarize(f"functional_{kind}_{level}", config.n_grid, errors_by_n, coverage_c)
+    return _summarize(f"functional_{kind}_{level}", config.n_grid, errors_by_n)

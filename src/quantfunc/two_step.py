@@ -59,7 +59,7 @@ def two_step_quantile(ds: Dataset, alpha: float, lam: float = 0.5,
     """
     if slopes is None:
         slopes = _slopes(ds, lam)
-    residuals = ds.y - (ds.x @ slopes if ds.p else 0.0)
+    residuals = ds.y - ds.x @ slopes
     k = order_index(alpha, ds.n)
     intercept = float(np.partition(residuals, k - 1)[k - 1])
     return TwoStepQuantile(alpha=alpha, lam=lam, intercept=intercept,
@@ -79,21 +79,14 @@ def averaged_two_step_process(ds: Dataset, lam: float = 0.5,
     slopes = np.asarray(slopes, dtype=float)
     # Same arithmetic path as intercept + x_bar'slopes, so the order-statistic
     # identity between the two holds exactly in floating point.
-    adjusted = ds.y - (ds.x @ slopes if ds.p else 0.0)
-    adjusted += ds.x_mean @ slopes if ds.p else 0.0
+    adjusted = ds.y - ds.x @ slopes
+    adjusted += ds.x_mean @ slopes
     adjusted.sort()
     return AveragedTwoStepProcess(values=adjusted, lam=lam,
                                   nuisance_estimate=ds.y_mean, slopes=slopes)
 
 
-def centered_process(proc: AveragedTwoStepProcess,
-                     nuisance: float | None = None) -> StepQuantileProcess:
-    """Estimator of the error quantile function: process minus the nuisance.
-
-    By default subtracts the response-mean estimate stored in the process;
-    pass ``nuisance`` to subtract a known true value instead (simulation
-    oracles).
-    """
-    if nuisance is None:
-        nuisance = proc.nuisance_estimate
-    return StepQuantileProcess(values=proc.values - nuisance)
+def centered_process(proc: AveragedTwoStepProcess) -> StepQuantileProcess:
+    """Estimator of the error quantile function: the process minus its
+    response-mean estimate ``nuisance_estimate``."""
+    return StepQuantileProcess(values=proc.values - proc.nuisance_estimate)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quantfunc import averaged_two_step_process, lorenz
+from quantfunc import cli, simulation as sim
 from quantfunc.cli import _json_text, main, read_csv_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -18,6 +19,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestFit:
@@ -159,6 +172,15 @@ class TestFunctional:
         assert code == 2
         assert err.startswith("error:domain: Lorenz curve needs nonnegative")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("level", ["-inf", "-1e308"])
+    def test_infinite_value_is_a_domain_error(self, capsys, level):
+        code, out, err = run(capsys, "--command", "functional", "--input", fx("p0.csv"),
+                             "--response", "y", "--functional", "mean_excess",
+                             f"--level={level}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:domain: mean_excess at level") and err.count("\n") == 1
+
     def test_negative_values_lorenz_error(self, tmp_path, capsys):
         path = tmp_path / "neg.csv"
         path.write_text("y\n-1.0\n2.0\n3.0\n")
@@ -219,6 +241,86 @@ class TestSimulate:
         code, _, err = run(capsys, "--command", "simulate", "--config", str(path))
         assert code != 0
         assert "n_grid" in err and "bogus" in err
+
+
+    def test_omitted_defaults_are_those_of_simulation_config(self, tmp_path, capsys):
+        keys = {"lambda": 0.5, "replications": 100, "seed": 0,
+                "alphas": [round(0.05 * k, 3) for k in range(1, 20)]}
+        outs = []
+        for cfg in ({k: None for k in keys}, keys):
+            path = self.write_config(tmp_path, study="two_step_rate", n_grid=[20, 40],
+                                     **cfg)
+            raw = json.loads(path.read_text())
+            path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+            code, out, _ = run(capsys, "--command", "simulate", "--config", str(path))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("replications", [2.0, "2"])
+    def test_whole_numbers_in_any_json_form(self, tmp_path, capsys, replications):
+        outs = []
+        for value in (2, replications):
+            path = self.write_config(tmp_path, replications=value)
+            code, out, _ = run(capsys, "--command", "simulate", "--config", str(path))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("config,message", [
+        (5, "must be a JSON object"),
+        ({"study": "functional_consistency", "functional": "cvar", "level": "abc"},
+         "could not convert string to float: 'abc'"),
+        ({"replications": float("inf")}, "cannot convert float infinity to integer"),
+        ({"seed": 1.5}, "1.5 is not a whole number"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"n_grid": [30.5, 60]}, "30.5 is not a whole number"),
+    ])
+    def test_bad_config_exits_with_one_config_error(self, tmp_path, capsys, monkeypatch,
+                                                    config, message):
+        if isinstance(config, dict):
+            path = self.write_config(tmp_path, **config)
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+        calls = count_calls(monkeypatch, sim, "generate")
+        code, out, err = run(capsys, "--command", "simulate", "--config", str(path))
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error:config: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_csv_without_output_runs_no_study(self, tmp_path, capsys, monkeypatch):
+        path = self.write_config(tmp_path)
+        calls = count_calls(monkeypatch, sim, "generate")
+        code, out, err = run(capsys, "--command", "simulate", "--config", str(path),
+                             "--format", "csv")
+        assert (code, out, err, calls) == (
+            2, "", "error:config: csv format requires --output\n", [])
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        code, _, err = run(capsys, "--command", "simulate", "--config", str(path),
+                           "--seed", "-1")
+        assert code == 2
+        assert err == "error:config: seed must be >= 0, got -1\n"
+
+
+class TestFlagsBeforeWork:
+    """Every flag is checked before the CSV is read."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--command", "fit", "--input", fx("p0.csv"), "--response", "y",
+          "--format", "csv"], "error:config: csv format requires --output\n"),
+        (["--command", "fit", "--input", fx("p0.csv"), "--response", "y",
+          "--alpha", "0.5,1.5"], "error:config: --alpha levels must be in (0, 1), got 1.5\n"),
+        (["--command", "functional", "--input", fx("p0.csv"), "--response", "y",
+          "--functional", "cvar", "--level", "0.5", "--format", "csv"],
+         "error:config: csv format requires --output\n"),
+    ])
+    def test_input_is_not_read(self, capsys, monkeypatch, argv, message):
+        calls = count_calls(monkeypatch, cli, "read_csv_dataset")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err, calls) == (2, "", message, [])
 
 
 class TestErrors:

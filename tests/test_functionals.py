@@ -108,6 +108,11 @@ class TestMeanExcess:
         with pytest.raises(DomainError):
             mean_excess(proc_of(1, 2, 3), 10.0)
 
+    @pytest.mark.parametrize("gamma", [-math.inf, -1e308])
+    def test_infinite_value_is_refused(self, gamma):
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="not finite"):
+            mean_excess(proc_of(1, 2, 3), gamma)
+
 
 class TestLorenz:
     def test_equal_values_diagonal(self):

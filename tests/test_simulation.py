@@ -215,6 +215,10 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(alphas=(0.5, 1.0))
 
+    def test_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            small_config(seed=-1)
+
     def test_equispaced_needs_p1(self):
         cfg = small_config(p=2, beta=(1.0, 1.0), design="equispaced")
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@ import pytest
 
 from quantfunc import (Dataset, DataError, averaged_two_step_process,
                        centered_process, empirical_quantile_process, two_step_quantile)
-from quantfunc.model import StepQuantileProcess
+from quantfunc.model import StepQuantileProcess, order_index
 
 ALPHA_GRID = [round(0.05 * k, 3) for k in range(1, 20)]
 
@@ -77,6 +77,17 @@ class TestAveragedProcess:
         want = np.sort(ds.y - ds.x @ proc.slopes + ds.x_mean @ proc.slopes)
         assert proc.values.tobytes() == want.tobytes()
 
+    def test_p0_process_holds_the_sorted_responses_plus_zero(self):
+        # With no covariates x'b and x_bar'b are +0.0: the process is y + 0.0
+        # sorted (so -0.0 reads +0.0), and each intercept an order statistic of y.
+        y = np.array([0.5, -0.0, 0.0, -1.0, 0.5, -0.0, 2.0])
+        ds = Dataset(y=y, x=np.zeros((7, 0)))
+        proc = averaged_two_step_process(ds, 0.5, slopes=np.zeros(0))
+        assert proc.values.tobytes() == np.sort(y + 0.0).tobytes()
+        for a in ALPHA_GRID:
+            got = two_step_quantile(ds, a, 0.5, slopes=np.zeros(0)).intercept
+            assert got == np.sort(y)[order_index(a, 7) - 1]
+
     def test_overflowing_slopes_raise(self):
         # x'b overflows to inf: a process with a non-finite value is refused
         # like any other step process.
@@ -118,13 +129,6 @@ class TestCenteredProcess:
             moved = centered_process(averaged_two_step_process(
                 Dataset(y=ds.y + ds.x @ gamma, x=ds.x), 0.5))
             assert moved.values == pytest.approx(base.values, abs=1e-6)
-
-    def test_true_nuisance_override(self):
-        rng = np.random.default_rng(24)
-        ds = random_dataset(rng, 15, 1)
-        proc = averaged_two_step_process(ds, 0.5)
-        cp = centered_process(proc, nuisance=2.0)
-        assert cp.values == pytest.approx(proc.values - 2.0)
 
     def test_nondecreasing(self):
         rng = np.random.default_rng(25)
