@@ -219,12 +219,19 @@ def _load_sim_config(args) -> tuple[sim.SimulationConfig, str, tuple]:
     if not isinstance(raw, dict):
         raise CliError("config", f"config {args.config} must be a JSON object")
     problems = [f"missing key {key!r}" for key in ("n_grid", "p") if key not in raw]
+    problems += [f"{key!r} must be a list, got {raw[key]!r}"
+                 for key in ("n_grid", "beta", "alphas")
+                 if raw.get(key) is not None and not isinstance(raw[key], list)]
     study = raw.get("study", "two_step_rate")
     if study not in ("two_step_rate", "r_estimator_rate", "functional_consistency"):
         problems.append(f"unknown study {study!r}")
     if study == "functional_consistency":
         problems += [f"functional_consistency needs key {key!r}"
                      for key in ("functional", "level") if raw.get(key) is None]
+        functional = raw.get("functional")
+        if functional is not None and functional not in sim.STUDY_FUNCTIONALS:
+            problems.append(f"functional_consistency takes a functional in "
+                            f"{list(sim.STUDY_FUNCTIONALS)}, got {functional!r}")
     if problems:
         raise CliError("config", "; ".join(problems))
     if args.seed is not None:
@@ -264,8 +271,16 @@ def run_simulate(args) -> None:
     _dump(payload, args.output)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors, such as a flag of the wrong type or an
+    unknown one, are one ``error:config`` line, like every other error."""
+
+    def error(self, message):
+        raise CliError("config", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quantfunc",
         description="Quantile functionals of regression errors via averaged "
                     "two-step regression quantiles.",
@@ -314,9 +329,8 @@ def _check_flags(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         if args.command == "fit":
             run_fit(args)

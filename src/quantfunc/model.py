@@ -148,6 +148,20 @@ class StepQuantileProcess:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _of_sorted(cls, values: np.ndarray, **fields):
+        """``cls(values=values, **fields)`` without the copy and the order
+        check, for a fresh nonempty float64 vector that is sorted by
+        construction and held by no one else.  The finiteness check and the
+        read-only flag stay."""
+        if not np.all(np.isfinite(values)):
+            raise DataError("non-finite process values")
+        values.setflags(write=False)
+        proc = cls.__new__(cls)
+        for name, value in {"values": values, **fields}.items():
+            object.__setattr__(proc, name, value)
+        return proc
+
     @property
     def n(self) -> int:
         return self.values.shape[0]

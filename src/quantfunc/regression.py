@@ -132,14 +132,17 @@ def _at(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate((v.sum(axis=1)[:, None], np.einsum("bij,bi->bj", x, v)), axis=1)
 
 
-def _a(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``(1, X_b) u_b`` of each problem b; X is read in place and never augmented."""
-    return np.einsum("bij,bj->bi", x, u[:, 1:]) + u[:, :1]
+def _a(x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``(1, X_b) u_b`` of each problem b, into ``out`` if given; X is read in
+    place and never augmented."""
+    out = np.einsum("bij,bj->bi", x, u[:, 1:], out=out)
+    out += u[:, :1]
+    return out
 
 
-def _normal_solver(x: np.ndarray, d: np.ndarray):
+def _normal_solver(x: np.ndarray, d: np.ndarray, work: np.ndarray | None = None):
     """Solver of ``(1, X_b)' diag(d_b) (1, X_b) u_b = rhs_b`` for each problem b,
-    scaled to a unit diagonal.
+    scaled to a unit diagonal; ``work``, of the shape of d, is scratch.
 
     A matrix singular to working precision, as when the weights of tied data
     pile onto fewer than q distinct rows, gets the least-squares solution.
@@ -148,8 +151,10 @@ def _normal_solver(x: np.ndarray, d: np.ndarray):
     """
     q = x.shape[2] + 1
     m = np.empty((x.shape[0], q, q))
-    for j in range(q):
-        m[:, j, j:] = m[:, j:, j] = _at(x, d if j == 0 else d * x[:, :, j - 1])[:, j:]
+    m[:, 0] = m[:, :, 0] = _at(x, d)
+    for j in range(1, q):  # the columns of (1, X)' D X_j from j on
+        work = np.multiply(d, x[:, :, j - 1], out=work)
+        m[:, j, j:] = m[:, j:, j] = np.einsum("bij,bi->bj", x, work)[:, j - 1:]
     scale = 1.0 / np.sqrt(m.diagonal(axis1=1, axis2=2))
     m *= scale[:, :, None] * scale[:, None, :]
 
@@ -175,109 +180,186 @@ def _step(lowest: np.ndarray) -> np.ndarray:
     return -_IPM_STEP / np.minimum(lowest, -_IPM_STEP)
 
 
-def _newton(x, d, solve, rp, g, a, s, z, w, mpz=0.0, mpw=0.0):
-    """Direction (da, dz, dw) toward ``a z = (1 - a) w = mu``, keeping dual
-    feasibility and closing the primal residual ``rp``.  With Mehrotra's
-    second-order terms ``pz = da dz`` and ``pw = da dw`` of the predictor,
-    ``mpz = mu - pz``, ``mpw = mu + pw`` and ``g = z - w + mpw / s - mpz / a``;
-    the predictor has ``mpz = mpw = 0`` and ``g = z - w``."""
-    da = _a(x, solve(rp + _at(x, d * g)))
-    da -= g
-    da *= d
-    dz = a + da
-    dz *= z
-    np.subtract(mpz, dz, out=dz)
-    dz /= a
-    dw = s - da
-    dw *= w
-    np.subtract(mpw, dw, out=dw)
-    dw /= s
-    return da, dz, dw
+def _weights(box: np.ndarray, zw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``d = 1 / (z / a + w / s)``, in ``out[1]``; out, of shape (2, B, n), is
+    overwritten."""
+    np.divide(zw, box, out=out)
+    np.add(out[0], out[1], out=out[1])
+    return np.divide(1.0, out[1], out=out[1])
 
 
-def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, floor: np.ndarray):
+def _newton(x, d, solve, rp, g, work):
+    """Primal direction ``da = d ((1, X) u - g)`` toward ``a z = (1 - a) w =
+    mu``, keeping dual feasibility and closing the primal residual ``rp``,
+    where u solves ``(1, X)' D (1, X) u = rp + (1, X)' D g``.  The predictor
+    has ``g = z - w``; with Mehrotra's second-order terms ``pz = da dz`` and
+    ``pw = da dw`` of the predictor, ``mpz = mu - pz`` and ``mpw = mu + pw``,
+    the corrector has ``g = z - w + mpw / s - mpz / a``.  Written over g;
+    ``work``, of the shape of g, is scratch."""
+    np.multiply(d, g, out=work)
+    _a(x, solve(rp + _at(x, work)), out=work)
+    np.subtract(work, g, out=g)
+    g *= d
+    return g
+
+
+def _dual(box, zw, da, mp, work, out):
+    """Dual directions ``[dz, dw] = (mp - [a + da, s - da] [z, w]) / [a, s]``
+    into ``out``, with ``mp = [mpz, mpw]`` of :func:`_newton`, or 0 for the
+    predictor; mp may be out.  ``work``, of the shape of box, is
+    overwritten."""
+    np.add(box[0], da, out=work[0])
+    np.subtract(box[1], da, out=work[1])
+    work *= zw
+    np.subtract(mp, work, out=out)
+    out /= box
+
+
+def _steps(box, zw, da, dzw, work):
+    """Step lengths of the primal ``(a, s)`` and dual ``(z, w)`` along
+    ``(da, -da)`` and ``dzw = [dz, dw]``; ``work``, of the shape of box, is
+    overwritten by the four ratio passes."""
+    np.divide(da, box[0], out=work[0])
+    np.divide(da, box[1], out=work[1])
+    ap = _step(np.minimum(work[0].min(axis=1), -work[1].max(axis=1)))
+    np.divide(dzw, zw, out=work)
+    lowest = work.min(axis=2)
+    return ap, _step(np.minimum(lowest[0], lowest[1]))
+
+
+def _predictor_corrector(x, b, gap, state, work):
+    """One Mehrotra predictor-corrector step of each problem of a batch, in
+    place on ``state = [a, s, z, w]``, of shape (4, B, n).  ``work``, of shape
+    (5, B, n), holds ``[dz, dw]``, a pair of scratch rows and ``g``, which
+    becomes ``da``.  d lives in the second scratch row while it is read; the
+    corrector computes it again, and g too, instead of keeping rows for
+    them."""
+    box, zw = state[:2], state[2:]
+    a, s, z, w = state
+    dzw, pair, g = work[:2], work[2:4], work[4]
+    dz, dw = dzw
+    d = _weights(box, zw, pair)
+    solve, rp = _normal_solver(x, d, g), b - _at(x, a)
+    np.subtract(z, w, out=g)
+    da = _newton(x, d, solve, rp, g, pair[0])
+    _dual(box, zw, da, 0.0, pair, dzw)
+    ap, ad = _steps(box, zw, da, dzw, pair)
+    centre = np.minimum(ap, ad) < 1.0
+    if centre.any():
+        # The affine gap (a + ap da)'(z + ad dz) + (s - ap da)'(w + ad dw).
+        move, to = pair
+        ap_, ad_ = ap[:, None], ad[:, None]
+        np.multiply(ap_, da, out=move)
+        move += a
+        np.multiply(ad_, dz, out=to)
+        to += z
+        g_aff = np.einsum("bi,bi->b", move, to)
+        np.multiply(ap_, da, out=move)
+        np.subtract(s, move, out=move)
+        np.multiply(ad_, dw, out=to)
+        to += w
+        g_aff += np.einsum("bi,bi->b", move, to)
+        # mu is cubed by libm's pow, one Python float at a time, as a
+        # numpy scalar is; numpy's array power may take another pow.
+        cube = np.array([ratio ** 3 for ratio in (g_aff / gap).tolist()])
+        mu = (gap * cube / (2 * a.shape[1]))[:, None]
+        dz *= da  # [mpz, mpw] = [mu - da dz, mu + da dw], over [dz, dw]
+        dw *= da
+        np.subtract(mu, dz, out=dz)
+        np.add(mu, dw, out=dw)
+        # A problem that takes the full predictor step keeps mu = pz = pw
+        # = 0, which makes its corrector the predictor again, bit for bit.
+        dzw[:, ~centre] = 0.0
+        np.divide(dzw, box, out=pair)
+        np.subtract(z, w, out=g)
+        g += pair[1]
+        g -= pair[0]
+        d = _weights(box, zw, pair)
+        da = _newton(x, d, solve, rp, g, pair[0])
+        _dual(box, zw, da, dzw, pair, dzw)
+        ap, ad = _steps(box, zw, da, dzw, pair)
+    da *= ap[:, None]
+    a += da
+    s -= da
+    dz *= ad[:, None]
+    dw *= ad[:, None]
+    zw += dzw
+
+
+def _stacked(datasets: list[Dataset]):
+    """The responses (B, n), designs (B, n, p) and gap floors ``q eps sum |y|``
+    (B,) of a list of datasets of one n and p; views of a lone dataset."""
+    if len(datasets) == 1:  # a lone fit copies no data
+        y, x = datasets[0].y[None], datasets[0].x[None]
+    else:
+        y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
+    return y, x, (x.shape[2] + 1) * np.finfo(float).eps * np.abs(y).sum(axis=1)
+
+
+def _interior_point(datasets: list[Dataset], tau: float):
     """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.) on
-    a batch of B problems of one shape, y of shape (B, n) and x (B, n, p).
+    the check-loss LPs of a list of datasets of one n and p, as one batch of
+    B problems with y of shape (B, n) and x (B, n, p).
 
     Mehrotra's predictor-corrector for ``max y_b'a`` subject to
     ``(1, X_b)'a = (1 - tau)(1, X_b)'1``, ``0 <= a <= 1``.  With z, w the bound
     multipliers, ``w - z`` is the residual and ``tau sum w + (1 - tau) sum z``
     its check loss; the gap ``a'z + (1 - a)'w`` stops at ``_IPM_RTOL`` of that
-    loss (unmoved by a shift of y) plus the problem's ``floor``.  The start
-    is the least-squares fit, so an exact fit, a zero response among them,
-    stops at once with gap 0.  Each problem has its own step lengths,
-    centring and stopping test, and leaves the batch when it stops.  Every
-    operation reads one problem's row alone, so a problem's iterates are the
-    bits it reaches when solved alone, for n up to numpy's 8192-element
-    einsum buffer (a study batches at most 4096 responses).  Returns ``a``
-    and ``w - z``, of shape (B, n), and the iterations, of shape (B,).
+    loss (unmoved by a shift of y) plus the problem's floor (see
+    :func:`_stacked`).  The start is the least-squares fit, so an exact fit,
+    a zero response among them, stops at once with gap 0.  Each problem has
+    its own step lengths, centring and stopping test, and leaves the batch
+    when it stops.  Every operation reads one problem's row alone, so a
+    problem's iterates are the bits it reaches when solved alone, for n up
+    to numpy's 8192-element einsum buffer (a study batch of two or more has
+    n <= ``simulation._BATCH_ELEMENTS`` / 2).
+
+    The batch's arrays are stacked here and y is dropped after the start, so
+    that no caller holds a second copy while the loop runs.  The loop holds
+    nine (B, n) float64 arrays, the state ``[a, 1 - a, z, w]`` and the work
+    rows of :func:`_predictor_corrector`, plus x; a study batch's fit at
+    p = 1 peaks at about 11 (B, n) arrays (tracemalloc, n = 100 to 1600).
+    Returns ``a`` and ``w - z``, of shape (B, n), and the iterations, of
+    shape (B,).
     """
-    n = y.shape[1]
-    b = (1.0 - tau) * _at(x, np.ones(y.shape))
-    a, s = np.full(y.shape, 1.0 - tau), np.full(y.shape, tau)
-    r = y - _a(x, _normal_solver(x, np.ones(y.shape))(_at(x, y)))
-    shift = np.abs(r).mean(axis=1)[:, None]
-    z, w = np.maximum(-r, 0.0) + shift, np.maximum(r, 0.0) + shift
+    y, x, floor = _stacked(datasets)
+    shape = y.shape
+    ones = np.ones(shape)
+    b = (1.0 - tau) * _at(x, ones)
+    state = np.empty((4,) + shape)
+    state[0], state[1] = 1.0 - tau, tau
+    r = _a(x, _normal_solver(x, ones)(_at(x, y)), out=state[2])
+    np.subtract(y, r, out=r)
+    del y, ones
+    shift = np.abs(r, out=state[3]).mean(axis=1)[:, None]
+    np.maximum(r, 0.0, out=state[3])
+    np.maximum(np.negative(r, out=r), 0.0, out=r)
+    r += shift
+    state[3] += shift
     del r, shift
-    live, found = np.arange(y.shape[0]), None
+    live, found, work = np.arange(shape[0]), [], np.empty((5,) + shape)
     for iterations in itertools.count():
-        gap = np.einsum("bi,bi->b", a, z) + np.einsum("bi,bi->b", s, w)
-        loss = tau * w.sum(axis=1) + (1.0 - tau) * z.sum(axis=1)
+        gap = (np.einsum("bi,bi->b", state[0], state[2])
+               + np.einsum("bi,bi->b", state[1], state[3]))
+        sums = state[2:].sum(axis=2)
+        loss = tau * sums[1] + (1.0 - tau) * sums[0]
         stop = (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
         if stop.any():
-            if found is None:  # a, w - z and the iterations of each problem
-                found = np.empty(y.shape), np.empty(y.shape), np.empty(y.shape[0], dtype=int)
-            done = live[stop]
-            found[0][done], found[1][done] = a[stop], w[stop] - z[stop]
-            found[2][done] = iterations
+            work = None  # freed before the rows that stop are copied out
+            found.append((live[stop], state[0][stop], state[3][stop] - state[2][stop],
+                          iterations))
             if stop.all():
-                return found
+                break
             go = ~stop
             live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
-            a, s, z, w = a[go], s[go], z[go], w[go]
-        d = z / a
-        d += w / s
-        np.divide(1.0, d, out=d)
-        solve, rp = _normal_solver(x, d), b - _at(x, a)
-        g = z - w
-        da, dz, dw = _newton(x, d, solve, rp, g, a, s, z, w)
-        ap = _step(np.minimum((da / a).min(axis=1), -(da / s).max(axis=1)))
-        ad = _step(np.minimum((dz / z).min(axis=1), (dw / w).min(axis=1)))
-        centre = np.minimum(ap, ad) < 1.0
-        if centre.any():
-            move, to = ap[:, None] * da, ad[:, None] * dz
-            to += z
-            g_aff = np.einsum("bi,bi->b", a + move, to)
-            np.subtract(s, move, out=move)
-            np.multiply(ad[:, None], dw, out=to)
-            to += w
-            g_aff += np.einsum("bi,bi->b", move, to)
-            del move, to
-            # mu is cubed by libm's pow, one Python float at a time, as a
-            # numpy scalar is; numpy's array power may take another pow.
-            cube = np.array([ratio ** 3 for ratio in (g_aff / gap).tolist()])
-            mu = (gap * cube / (2 * n))[:, None]
-            mpz, mpw = da * dz, da * dw
-            np.subtract(mu, mpz, out=mpz)
-            np.add(mu, mpw, out=mpw)
-            # A problem that takes the full predictor step keeps mu = pz = pw
-            # = 0, which makes its corrector the predictor again, bit for bit.
-            mpz[~centre] = mpw[~centre] = 0.0
-            g += mpw / s
-            g -= mpz / a
-            del da, dz, dw, mu
-            da, dz, dw = _newton(x, d, solve, rp, g, a, s, z, w, mpz, mpw)
-            del mpz, mpw
-            ap = _step(np.minimum((da / a).min(axis=1), -(da / s).max(axis=1)))
-            ad = _step(np.minimum((dz / z).min(axis=1), (dw / w).min(axis=1)))
-        da *= ap[:, None]
-        a += da
-        s -= da
-        dz *= ad[:, None]
-        z += dz
-        dw *= ad[:, None]
-        w += dw
-        del d, g, da, dz, dw
+            state = np.compress(go, state, axis=1)  # C order, unlike state[:, go]
+            work = np.empty((5,) + state.shape[1:])
+        _predictor_corrector(x, b, gap, state, work)
+    del state, x
+    a, r, counts = np.empty(shape), np.empty(shape), np.empty(shape[0], dtype=int)
+    for done, a_done, r_done, k in found:
+        a[done], r[done], counts[done] = a_done, r_done, k
+    return a, r, counts
 
 
 def _certified_vertices(datasets: list[Dataset], tau: float):
@@ -298,15 +380,10 @@ def _certified_vertices(datasets: list[Dataset], tau: float):
     vertex.
     """
     q = datasets[0].p + 1
-    if len(datasets) == 1:  # views: a lone fit copies no data
-        y, x = datasets[0].y[None], datasets[0].x[None]
-    else:
-        y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
-    floor = q * np.finfo(float).eps * np.abs(y).sum(axis=1)
-    a, r, iterations = _interior_point(y, x, tau, floor)
-    order = np.lexsort((np.abs(r), -np.minimum(a, 1.0 - a)), axis=-1)
+    a, r_ipm, iterations = _interior_point(datasets, tau)
+    y, x, floor = _stacked(datasets)
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
-    rows, lead = np.arange(len(datasets))[:, None], order[:, :q]
+    rows, lead = np.arange(len(datasets))[:, None], _lead(a, r_ipm, q)
     sub = np.concatenate((np.ones((len(datasets), q, 1)), x[rows, lead]), axis=2)
     independent = np.linalg.matrix_rank(sub) == q
     sub[~independent] = np.eye(q)  # placeholders: these problems go on alone
@@ -320,7 +397,28 @@ def _certified_vertices(datasets: list[Dataset], tau: float):
             yield coef[k], int(iterations[k])
         else:
             basis = lead[k].tolist() if independent[k] else None
-            yield _vertex(ds, tau, a[k], d[k], order[k], basis, floor[k], int(iterations[k]))
+            yield _vertex(ds, tau, a[k], d[k], _order(a[k], r_ipm[k]), basis, floor[k],
+                          int(iterations[k]))
+
+
+def _order(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The observations ranked by how far the interior point's ``a`` lies from
+    {0, 1}, then by ``|r|``, then by index, along the last axis."""
+    return np.lexsort((np.abs(r), -np.minimum(a, 1.0 - a)), axis=-1)
+
+
+def _lead(a: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
+    """The first q columns of :func:`_order` of each problem of a batch, by
+    selection: only the observations whose first key is at most the q-th
+    least are ranked, so a batch is not sorted whole."""
+    key = -np.minimum(a, 1.0 - a)
+    chosen = key <= np.partition(key, q - 1, axis=1)[:, q - 1:q]
+    counts = chosen.sum(axis=1)
+    if (counts < q).any():  # a NaN among the q least keys
+        return _order(a, r)[:, :q]
+    rows, cols = np.nonzero(chosen)  # row by row, in index order
+    ranked = cols[np.lexsort((cols, np.abs(r[rows, cols]), key[rows, cols], rows))]
+    return ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(q)]
 
 
 def _vertex(ds: Dataset, tau: float, a: np.ndarray, d: np.ndarray, order: np.ndarray,

@@ -29,17 +29,24 @@ from . import functionals as fn
 
 ERROR_DISTS = ("standard_normal", "shifted_exponential", "uniform_centered")
 DESIGNS = ("iid_uniform_cube", "equispaced", "iid_normal")
+# Functionals whose population value ErrorDistribution.true_functional knows,
+# the ones functional_consistency_study can run.
+STUDY_FUNCTIONALS = ("cvar", "mean_excess")
 
 # Sup-deviation threshold c in the coverage fraction P(sup-deviation < c / sqrt(n)).
 COVERAGE_C = 5.0
 
 # Most responses (replicates times n) whose slopes are fitted in one batch.
-# A batch's fit peaks at 14 to 17 float64 arrays of this size (tracemalloc,
-# p = 1, from n = 1600 down to 100), about 0.5 MB.  perfbench's monte_carlo
-# workload bounds peak_rss_mb at 5 % over a baseline of about 42 MB.  On that
-# workload (2-core host, 2 runs each) 8192 cut an operation from about 0.63 s
-# to 0.47 s for 2.3 % more peak RSS; that gain is not yet measured in pairs.
-_BATCH_ELEMENTS = 4096
+# A batch's fit peaks at about 11 float64 arrays of this size (tracemalloc,
+# p = 1, n = 100 to 1600), about 0.6 MB.  In paired 20 s runs of perfbench's
+# monte_carlo workload against the previous loop at 4096 (2-core host, 5
+# pairs), 7168 cut op_s by 21.5 % for 0.9 % more peak RSS, and 8192 by 27.5 %
+# for 2.2 %; single runs of 12288 and 16384 cost 3.1 % and 4.6 %.  Every
+# budget from 6400 to 7999 splits that workload's n = 400 and 1600 into as
+# many batches.  Keep it at or below 16384, so that a batch of two or more
+# has n <= 8192, where each problem keeps the bits of its lone fit
+# (regression._interior_point).
+_BATCH_ELEMENTS = 7168
 
 _STD_NORMAL = NormalDist()
 
@@ -248,17 +255,21 @@ def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset,
     return Dataset(y=y, x=x), z
 
 
-def _replicates(config: SimulationConfig, n: int):
-    """``(ds, z, slopes)`` of each replicate at sample size n, in replicate order.
+def _replicates(config: SimulationConfig, n: int, errors=None):
+    """``(ds, e, slopes)`` of each replicate at sample size n, in replicate
+    order, with ``e = errors(z)`` of its hidden errors z, or None.
 
     The replicates are drawn a batch at a time and their slopes fitted
-    together, each the bits of a lone :func:`fit_r_estimator`.  The studies
-    read only the slopes, so no dispersion is computed.
+    together, each the bits of a lone :func:`fit_r_estimator`.  ``errors``
+    reads z as it is drawn, so that a batch holds no errors while it is
+    fitted.  The studies read only the slopes, so no dispersion is computed.
     """
     size = max(1, _BATCH_ELEMENTS // n)
     for start in range(0, config.replications, size):
-        drawn = [generate(config, n, rep)
-                 for rep in range(start, min(start + size, config.replications))]
+        drawn = []
+        for rep in range(start, min(start + size, config.replications)):
+            ds, z = generate(config, n, rep)
+            drawn.append((ds, None if errors is None else errors(z)))
         if config.p:
             slopes = [b for b, _ in _fit_slopes([ds for ds, _ in drawn], config.lam)]
         else:
@@ -301,10 +312,9 @@ def rate_study_two_step(config: SimulationConfig) -> list[RateReport]:
     for n in config.n_grid:
         d_true, d_mean = [], []
         idx = np.array([order_index(a, n) for a in config.alphas])
-        for ds, z, slopes in _replicates(config, n):
+        for ds, z_sorted, slopes in _replicates(config, n, lambda z: np.sort(z)[idx - 1]):
             proc = averaged_two_step_process(ds, config.lam, slopes=slopes)
             b_vals = proc.values[idx - 1]
-            z_sorted = np.sort(z)[idx - 1]
             nuisance_true = config.beta0 + ds.x_mean @ beta
             d_true.append(np.max(np.abs(b_vals - nuisance_true - z_sorted)))
             d_mean.append(np.max(np.abs(b_vals - ds.y_mean - z_sorted)))

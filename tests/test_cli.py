@@ -275,6 +275,14 @@ class TestSimulate:
         ({"seed": 1.5}, "1.5 is not a whole number"),
         ({"seed": -1}, "seed must be >= 0"),
         ({"n_grid": [30.5, 60]}, "30.5 is not a whole number"),
+        # A string where a list belongs used to be read character by
+        # character: n_grid "58" ran a study at n = 5 and n = 8.
+        ({"study": "two_step_rate", "n_grid": "58", "p": 0, "replications": 3},
+         "'n_grid' must be a list, got '58'"),
+        ({"beta": "12"}, "'beta' must be a list, got '12'"),
+        ({"study": "two_step_rate", "alphas": "0.5"}, "'alphas' must be a list, got '0.5'"),
+        ({"study": "functional_consistency", "functional": "lorenz", "level": 0.5},
+         "functional_consistency takes a functional in ['cvar', 'mean_excess'], got 'lorenz'"),
     ])
     def test_bad_config_exits_with_one_config_error(self, tmp_path, capsys, monkeypatch,
                                                     config, message):
@@ -303,6 +311,27 @@ class TestSimulate:
                            "--seed", "-1")
         assert code == 2
         assert err == "error:config: seed must be >= 0, got -1\n"
+
+
+class TestParserErrors:
+    """A flag argparse itself refuses ends in one error:config line too."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--command", "simulate", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["--command", "fit", "--lambda", "abc"], "argument --lambda: invalid float value: 'abc'"),
+        ([], "the following arguments are required: --command"),
+        (["--command", "fit", "--bogus"], "unrecognized arguments: --bogus"),
+    ])
+    def test_one_config_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error:config: {message}\n")
+
+    def test_help_keeps_its_text(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        assert out.startswith("usage: quantfunc") and "--command" in out
 
 
 class TestFlagsBeforeWork:
