@@ -19,11 +19,17 @@ from .errors import DomainError
 from .model import StepQuantileProcess, order_index, scaled_level
 
 # Gauss-Legendre nodes per cell of :func:`quad`; the rule is exact for
-# polynomials of degree <= 2 * QUAD_NODES - 1.
+# polynomials of degree <= 2 * QUAD_NODES - 1.  The nodes and weights are the
+# bits of ``numpy.polynomial.legendre.leggauss(8)`` mapped from [-1, 1] to
+# [0, 1], (t + 1) / 2 and w / 2, written out so that no import solves the
+# eigenproblem behind them.
 QUAD_NODES = 8
-_NODES, _NODE_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_NODES)
-_NODES = (_NODES + 1.0) / 2.0          # mapped from [-1, 1] to [0, 1]
-_NODE_WEIGHTS = _NODE_WEIGHTS / 2.0
+_NODES = (0.019855071751231912, 0.10166676129318664, 0.2372337950418355,
+          0.4082826787521751, 0.5917173212478248, 0.7627662049581645,
+          0.8983332387068134, 0.9801449282487681)
+_NODE_WEIGHTS = (0.05061426814518853, 0.11119051722668721, 0.15685332293894344,
+                 0.18134189168918083, 0.18134189168918083, 0.15685332293894344,
+                 0.11119051722668721, 0.05061426814518853)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,19 @@ class Dataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
+    @classmethod
+    def _of_rows(cls, y: np.ndarray, x: np.ndarray):
+        """A dataset holding ``y`` and ``x`` themselves, without the copy and
+        the shape checks, for read-only float64 rows (n,) and (n, p), with
+        n >= p + 2, of a batch that no one writes.  The finiteness check
+        stays."""
+        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
+            raise DataError("non-finite entries in y or x")
+        ds = cls.__new__(cls)
+        object.__setattr__(ds, "y", y)
+        object.__setattr__(ds, "x", x)
+        return ds
+
     @property
     def n(self) -> int:
         return self.y.shape[0]
@@ -193,16 +206,25 @@ def empirical_quantile_process(values) -> StepQuantileProcess:
     return StepQuantileProcess(values=np.sort(v))
 
 
-def _centered_scatter(ds: Dataset):
-    """Centered design, V_n, its ascending eigenvalues and whether V_n is
-    singular: its smallest eigenvalue at most :data:`SINGULARITY_RTOL` times
-    its largest, or its largest not positive.  Needs p >= 1."""
-    xc = ds.x - ds.x_mean
-    v_n = xc.T @ xc
-    v_n = (v_n + v_n.T) / 2.0
+def _centered_scatters(x: np.ndarray):
+    """Centered designs, V_n, their ascending eigenvalues and whether each V_n
+    is singular, of a batch of designs x of shape (B, n, p), p >= 1: singular
+    when its smallest eigenvalue is at most :data:`SINGULARITY_RTOL` times its
+    largest, or its largest is not positive.  One eigvalsh call takes the
+    whole batch, and each design's arrays are the bits it gets alone."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    v_n = np.matmul(xc.transpose(0, 2, 1), xc)
+    v_n = (v_n + v_n.transpose(0, 2, 1)) / 2.0
     eigvals = np.linalg.eigvalsh(v_n)
-    singular = eigvals[0] <= SINGULARITY_RTOL * max(eigvals[-1], 0.0) or eigvals[-1] <= 0.0
-    return xc, v_n, eigvals, bool(singular)
+    lowest, highest = eigvals[:, 0], eigvals[:, -1]
+    singular = (lowest <= SINGULARITY_RTOL * np.maximum(highest, 0.0)) | (highest <= 0.0)
+    return xc, v_n, eigvals, singular
+
+
+def _centered_scatter(ds: Dataset):
+    """:func:`_centered_scatters` of one dataset, p >= 1."""
+    xc, v_n, eigvals, singular = _centered_scatters(ds.x[None])
+    return xc[0], v_n[0], eigvals[0], bool(singular[0])
 
 
 def design_diagnostics(ds: Dataset) -> DesignDiagnostics:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, IdentifiabilityError, QuantfuncError
-from .model import Dataset, _centered_scatter
+from .errors import DataError, DomainError, IdentifiabilityError
+from .model import Dataset, _centered_scatters
 from .model import design_diagnostics  # noqa: F401  perfbench's tracer binds this name here
 from .regression import _certified_vertices
 
@@ -88,34 +88,33 @@ def fit_r_estimator(ds: Dataset, lam: float = 0.5) -> REstimate:
     :class:`SolverFailure`.  ``iterations`` counts the interior-point
     iterations plus the vertex pivots.
     """
-    [(b, iterations)] = _fit_slopes([ds], lam)
+    [(b, iterations)] = _fit_slopes(ds.y[None], ds.x[None], lam)
     return REstimate(lam=lam, beta_tilde=b, dispersion=jaeckel_dispersion(b, ds, lam),
                      iterations=iterations)
 
 
-def _fit_slopes(datasets: list[Dataset], lam: float):
+def _fit_slopes(y: np.ndarray, x: np.ndarray, lam: float):
     """The slopes and iterations of :func:`fit_r_estimator` of each dataset of
-    a list of one n and p, their LPs solved as one batch; no dispersion.
+    a batch of one n and p, the responses y of shape (B, n) and the designs x
+    (B, n, p), their LPs solved as one batch; no dispersion.  y and x are
+    read in place.
 
-    Yields in list order.  Each estimate is bitwise the one fitted alone, and
+    Yields in batch order.  Each estimate is bitwise the one fitted alone, and
     the error raised is the one a loop of single fits raises first: the
-    datasets before it are yielded before it is raised.
+    datasets before it are yielded before it is raised.  Every V_n is tested
+    in one batched call.
     """
-    checked, failure = [], None
-    for ds in datasets:
-        try:
-            if ds.p == 0:
-                raise DataError("R-estimation needs p >= 1")
-            if _centered_scatter(ds)[3]:
-                raise IdentifiabilityError("centered scatter matrix V_n is singular")
-            if not 0.0 < lam < 1.0:
-                raise DomainError(f"lambda must be in (0, 1), got {lam}")
-        except QuantfuncError as exc:
-            failure = exc
-            break
-        checked.append(ds)
-    if checked:
-        for coef, iterations in _certified_vertices(checked, lam):
+    if x.shape[2] == 0:
+        raise DataError("R-estimation needs p >= 1")
+    singular = np.flatnonzero(_centered_scatters(x)[3])
+    fitted, failure = y.shape[0], None
+    if singular.size:
+        fitted = singular[0]
+        failure = IdentifiabilityError("centered scatter matrix V_n is singular")
+    if not 0.0 < lam < 1.0 and fitted:  # the first dataset fails
+        fitted, failure = 0, DomainError(f"lambda must be in (0, 1), got {lam}")
+    if fitted:
+        for coef, iterations in _certified_vertices(y[:fitted], x[:fitted], lam):
             yield coef[1:], iterations
     if failure is not None:
         raise failure

@@ -1,8 +1,14 @@
-"""Ordinary alpha-regression quantile via an exact check-loss LP.
+"""Exact check-loss LPs: regression quantiles and their certified vertices.
 
-The fit minimizes ``sum_i rho_alpha(y_i - b0 - x_i'b)`` exactly.  The LP uses
-the standard split of residuals into positive and negative parts and a
-deterministic Bland-rule simplex, so repeated fits return the same vertex.
+Two solvers minimize ``sum_i rho_alpha(y_i - b0 - x_i'b)`` exactly.
+
+- :func:`fit_regression_quantile` splits the residuals into positive and
+  negative parts and pivots a dense tableau by Bland's rule, so repeated fits
+  return the same vertex.
+- :func:`_certified_vertices`, which the R-estimator uses, runs the
+  Frisch-Newton interior point :func:`_interior_point` over a batch of
+  problems of one n and p, then returns for each a vertex whose check loss
+  is certified by the dual bound.
 """
 
 from __future__ import annotations
@@ -286,27 +292,22 @@ def _predictor_corrector(x, b, gap, state, work):
     zw += dzw
 
 
-def _stacked(datasets: list[Dataset]):
-    """The responses (B, n), designs (B, n, p) and gap floors ``q eps sum |y|``
-    (B,) of a list of datasets of one n and p; views of a lone dataset."""
-    if len(datasets) == 1:  # a lone fit copies no data
-        y, x = datasets[0].y[None], datasets[0].x[None]
-    else:
-        y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
-    return y, x, (x.shape[2] + 1) * np.finfo(float).eps * np.abs(y).sum(axis=1)
+def _floor(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The gap floors ``q eps sum |y_b|`` (B,) of a batch, q = p + 1."""
+    return (x.shape[2] + 1) * np.finfo(float).eps * np.abs(y).sum(axis=1)
 
 
-def _interior_point(datasets: list[Dataset], tau: float):
+def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.) on
-    the check-loss LPs of a list of datasets of one n and p, as one batch of
-    B problems with y of shape (B, n) and x (B, n, p).
+    the check-loss LPs of a batch of B problems of one n and p, the responses
+    y of shape (B, n) and the designs x (B, n, p).
 
     Mehrotra's predictor-corrector for ``max y_b'a`` subject to
     ``(1, X_b)'a = (1 - tau)(1, X_b)'1``, ``0 <= a <= 1``.  With z, w the bound
     multipliers, ``w - z`` is the residual and ``tau sum w + (1 - tau) sum z``
     its check loss; the gap ``a'z + (1 - a)'w`` stops at ``_IPM_RTOL`` of that
     loss (unmoved by a shift of y) plus the problem's floor (see
-    :func:`_stacked`).  The start is the least-squares fit, so an exact fit,
+    :func:`_floor`).  The start is the least-squares fit, so an exact fit,
     a zero response among them, stops at once with gap 0.  Each problem has
     its own step lengths, centring and stopping test, and leaves the batch
     when it stops.  Every operation reads one problem's row alone, so a
@@ -314,23 +315,22 @@ def _interior_point(datasets: list[Dataset], tau: float):
     to numpy's 8192-element einsum buffer (a study batch of two or more has
     n <= ``simulation._BATCH_ELEMENTS`` / 2).
 
-    The batch's arrays are stacked here and y is dropped after the start, so
-    that no caller holds a second copy while the loop runs.  The loop holds
-    nine (B, n) float64 arrays, the state ``[a, 1 - a, z, w]`` and the work
-    rows of :func:`_predictor_corrector`, plus x; a study batch's fit at
-    p = 1 peaks at about 11 (B, n) arrays (tracemalloc, n = 100 to 1600).
-    Returns ``a`` and ``w - z``, of shape (B, n), and the iterations, of
-    shape (B,).
+    y and x are read in place and not copied: a study draws its batch once
+    into them.  Besides them the loop holds nine (B, n) float64 arrays, the
+    state ``[a, 1 - a, z, w]`` and the work rows of
+    :func:`_predictor_corrector`, and once some problems have stopped, the
+    live problems' rows of x; it peaks at about ten (B, n) arrays beyond y
+    and x (tracemalloc, p = 1, n = 100 to 1600).  Returns ``a`` and
+    ``w - z``, of shape (B, n), and the iterations, of shape (B,).
     """
-    y, x, floor = _stacked(datasets)
-    shape = y.shape
+    floor, shape = _floor(y, x), y.shape
     ones = np.ones(shape)
     b = (1.0 - tau) * _at(x, ones)
     state = np.empty((4,) + shape)
     state[0], state[1] = 1.0 - tau, tau
     r = _a(x, _normal_solver(x, ones)(_at(x, y)), out=state[2])
     np.subtract(y, r, out=r)
-    del y, ones
+    del ones
     shift = np.abs(r, out=state[3]).mean(axis=1)[:, None]
     np.maximum(r, 0.0, out=state[3])
     np.maximum(np.negative(r, out=r), 0.0, out=r)
@@ -362,9 +362,10 @@ def _interior_point(datasets: list[Dataset], tau: float):
     return a, r, counts
 
 
-def _certified_vertices(datasets: list[Dataset], tau: float):
+def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     """Exact minimizer ``(b0, b)`` of ``sum rho_tau(y - b0 - X b)``, a vertex,
-    of each dataset of a list of one n and p, solved as one batch.
+    of each problem of a batch of one n and p, the responses y of shape (B, n)
+    and the designs x (B, n, p), solved as one batch.
 
     A vertex interpolates q independent observations ranked by how far the
     interior point's ``a_i`` lie from {0, 1}, then by ``|residual|``, then by
@@ -374,31 +375,37 @@ def _certified_vertices(datasets: list[Dataset], tau: float):
     tests the rank of its q lead rows and solves, prices and certifies its
     first vertex in stacked calls.  Only a problem whose lead rows are
     dependent or whose first vertex is not certified goes on alone, to
-    :func:`_vertex`.  Each ``(1, X)`` must have full rank.  Yields, in list
-    order, the coefficients and the iterations plus pivots of each dataset,
-    or raises :class:`SolverFailure` at the first dataset with no certified
+    :func:`_vertex`.  Each ``(1, X)`` must have full rank.  Yields, in batch
+    order, the coefficients and the iterations plus pivots of each problem,
+    or raises :class:`SolverFailure` at the first problem with no certified
     vertex.
+
+    y and x are read in place and not copied, so a study batch is held once.
+    After the interior point, the batch holds ``a``, ``w - z``, d and, while
+    the first vertices are priced, their residuals and check losses: about
+    six (B, n) float64 arrays beyond y and x at the peak, below the interior
+    point's (tracemalloc, p = 1).
     """
-    q = datasets[0].p + 1
-    a, r_ipm, iterations = _interior_point(datasets, tau)
-    y, x, floor = _stacked(datasets)
+    batch, q = y.shape[0], x.shape[2] + 1
+    a, r_ipm, iterations = _interior_point(y, x, tau)
+    floor = _floor(y, x)
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
-    rows, lead = np.arange(len(datasets))[:, None], _lead(a, r_ipm, q)
-    sub = np.concatenate((np.ones((len(datasets), q, 1)), x[rows, lead]), axis=2)
+    rows, lead = np.arange(batch)[:, None], _lead(a, r_ipm, q)
+    sub = np.concatenate((np.ones((batch, q, 1)), x[rows, lead]), axis=2)
     independent = np.linalg.matrix_rank(sub) == q
     sub[~independent] = np.eye(q)  # placeholders: these problems go on alone
     coef = np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0]
     r = y - _a(x, coef)
     loss = check_loss_vec(r, tau).sum(axis=1)
     certified = independent & (loss - np.einsum("bi,bi->b", d, r) <= _VERTEX_RTOL * loss + floor)
-    del y, x, r, sub
-    for k, ds in enumerate(datasets):
+    del r, sub
+    for k in range(batch):
         if certified[k]:
             yield coef[k], int(iterations[k])
         else:
             basis = lead[k].tolist() if independent[k] else None
-            yield _vertex(ds, tau, a[k], d[k], _order(a[k], r_ipm[k]), basis, floor[k],
-                          int(iterations[k]))
+            yield _vertex(y[k], x[k], tau, a[k], d[k], _order(a[k], r_ipm[k]), basis,
+                          floor[k], int(iterations[k]))
 
 
 def _order(a: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -421,27 +428,28 @@ def _lead(a: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
     return ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(q)]
 
 
-def _vertex(ds: Dataset, tau: float, a: np.ndarray, d: np.ndarray, order: np.ndarray,
-            basis: list[int] | None, floor, iterations: int) -> tuple[np.ndarray, int]:
-    """The certified vertex of one dataset from its interior point ``a``, dual
-    weights ``d`` and observation ``order`` (see :func:`_certified_vertices`),
-    starting at ``basis``, or with no basis at the first q independent
-    observations in that order.  Until a vertex is certified, the basis point
-    of smallest index whose Koenker-Bassett multiplier lies outside
-    ``[tau - 1, tau]`` leaves, and the point where the loss stops falling
-    along that edge enters."""
-    y, x, q = ds.y, ds.x[None], ds.p + 1
+def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarray,
+            order: np.ndarray, basis: list[int] | None, floor,
+            iterations: int) -> tuple[np.ndarray, int]:
+    """The certified vertex of one problem, responses y (n,) and design x
+    (n, p), from its interior point ``a``, dual weights ``d`` and observation
+    ``order`` (see :func:`_certified_vertices`), starting at ``basis``, or
+    with no basis at the first q independent observations in that order.
+    Until a vertex is certified, the basis point of smallest index whose
+    Koenker-Bassett multiplier lies outside ``[tau - 1, tau]`` leaves, and
+    the point where the loss stops falling along that edge enters."""
+    xb, q = x[None], x.shape[1] + 1
     if basis is None:
         basis = []
         for i in order:
-            if np.linalg.matrix_rank(np.c_[np.ones(len(basis) + 1), ds.x[basis + [i]]]) > len(basis):
+            if np.linalg.matrix_rank(np.c_[np.ones(len(basis) + 1), x[basis + [i]]]) > len(basis):
                 basis.append(int(i))
                 if len(basis) == q:
                     break
-    for pivots in range(ds.n + 1):
-        sub = np.c_[np.ones(q), ds.x[basis]]
+    for pivots in range(y.shape[0] + 1):
+        sub = np.c_[np.ones(q), x[basis]]
         coef = np.linalg.solve(sub, y[basis])
-        r = y - _a(x, coef[None])[0]
+        r = y - _a(xb, coef[None])[0]
         if pivots == 0:  # the bound of each point off the basis, tracked from
             # here on so that a degenerate pivot cannot undo the one before
             above = (r > 0.0) | ((r == 0.0) & (a >= 0.5))
@@ -451,7 +459,7 @@ def _vertex(ds: Dataset, tau: float, a: np.ndarray, d: np.ndarray, order: np.nda
             return coef, iterations + pivots
         psi = np.where(above, tau, tau - 1.0)
         psi[basis] = 0.0
-        v = -np.linalg.solve(sub.T, _at(x, psi[None])[0])
+        v = -np.linalg.solve(sub.T, _at(xb, psi[None])[0])
         outside = [k for k in range(q) if not tau - 1.0 <= v[k] <= tau]
         if not outside:
             break
@@ -460,7 +468,7 @@ def _vertex(ds: Dataset, tau: float, a: np.ndarray, d: np.ndarray, order: np.nda
         # Freeing basis[k], the loss falls at slope0 < 0 until a weighted
         # median of the residual ratios: each crossing adds |c_i| to the slope.
         slope0 = sign * v[k] + (1.0 - tau if sign > 0 else tau)
-        c = _a(x, np.linalg.solve(sub, sign * np.eye(q)[k])[None])[0]
+        c = _a(xb, np.linalg.solve(sub, sign * np.eye(q)[k])[None])[0]
         c[basis] = 0.0
         kinks = np.flatnonzero(np.where(above, c > 0.0, c < 0.0))
         rank = np.argsort(np.maximum(r[kinks] / c[kinks], 0.0), kind="stable")

@@ -7,9 +7,10 @@ summarizes errors as per-sample-size RMSEs with a fitted log-log slope.
 Reproducibility: the generator is the counter-based Philox engine keyed by
 ``SeedSequence([seed, n, replicate])``, so every (replicate, n) pair owns an
 independent substream and execution order cannot change results.  The
-replicates of one n are fitted in stacked batches, and a batch's size and
-members cannot change results either: each replicate's slopes are bitwise
-the ones it gets when fitted alone.
+replicates of one n are drawn straight into one batch's arrays and fitted
+there, and a batch's size and members cannot change results either: each
+replicate's data are the bits :func:`generate` draws, and its slopes are
+bitwise the ones it gets when fitted alone.
 """
 
 from __future__ import annotations
@@ -37,16 +38,29 @@ STUDY_FUNCTIONALS = ("cvar", "mean_excess")
 COVERAGE_C = 5.0
 
 # Most responses (replicates times n) whose slopes are fitted in one batch.
-# A batch's fit peaks at about 11 float64 arrays of this size (tracemalloc,
-# p = 1, n = 100 to 1600), about 0.6 MB.  In paired 20 s runs of perfbench's
-# monte_carlo workload against the previous loop at 4096 (2-core host, 5
-# pairs), 7168 cut op_s by 21.5 % for 0.9 % more peak RSS, and 8192 by 27.5 %
-# for 2.2 %; single runs of 12288 and 16384 cost 3.1 % and 4.6 %.  Every
-# budget from 6400 to 7999 splits that workload's n = 400 and 1600 into as
-# many batches.  Keep it at or below 16384, so that a batch of two or more
-# has n <= 8192, where each problem keeps the bits of its lone fit
+# A batch is drawn once into its response and design arrays and fitted there;
+# a study peaks at about 12 float64 arrays of this size (tracemalloc, p = 1,
+# n = 100 to 1600), about 1.2 MB.  Paired 20 s runs of perfbench's
+# monte_carlo workload against the previous tree, which copied each batch
+# three times, held 7168 and imported numpy.polynomial (2-core host, 3 to 11
+# pairs each; medians of the paired changes):
+#   budget    op_s   peak RSS
+#     7168   +5.6 %   -1.23 %   (in-process timings read its op_s unchanged)
+#    10240  -11.9 %   -0.65 %
+#    12288  -21.0 %   -0.28 %
+#    14336  -18.9 %   +0.41 %
+#    15360  -14.1 %   +0.68 %
+#    16384  -27.4 %   +1.12 %
+# 12288 is the largest budget whose every pair stayed within 1 % of the
+# previous peak RSS (at most +0.10 %); 14336 and 15360 each had a pair past
+# 1 % and were no faster.  Keep it at or below 16384, so that a batch of two
+# or more has n <= 8192, where each problem keeps the bits of its lone fit
 # (regression._interior_point).
-_BATCH_ELEMENTS = 7168
+_BATCH_ELEMENTS = 12288
+
+# The view constructor is bound here once: perfbench's tracer replaces the
+# module's Dataset name with a function.
+_dataset_of_rows = Dataset._of_rows
 
 _STD_NORMAL = NormalDist()
 
@@ -241,41 +255,62 @@ def _design_matrix(config: SimulationConfig, n: int, rng: np.random.Generator) -
     return rng.standard_normal((n, p))
 
 
-def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset, np.ndarray]:
-    """One replication: observable dataset plus the hidden errors.
+def _draw(config: SimulationConfig, n: int, replicate: int, y: np.ndarray,
+          x: np.ndarray) -> np.ndarray:
+    """Draw one replication into y (n,) and x (n, p) and return its hidden
+    errors.
 
     Deterministic in (seed, n, replicate).  The design substream is drawn
     before the error substream, both from the same Philox key.
     """
     rng = _substream(config.seed, n, replicate)
-    x = _design_matrix(config, n, rng)
+    design = _design_matrix(config, n, rng)
     z = config.error_dist.sample(rng, n)
-    beta = np.asarray(config.beta, dtype=float)
-    y = config.beta0 + x @ beta + z
+    np.add(config.beta0 + design @ np.asarray(config.beta, dtype=float), z, out=y)
+    x[...] = design
+    return z
+
+
+def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset, np.ndarray]:
+    """One replication: observable dataset plus the hidden errors.
+
+    Deterministic in (seed, n, replicate); a study draws the same bits.
+    """
+    y, x = np.empty(n), np.empty((n, config.p))
+    z = _draw(config, n, replicate, y, x)
     return Dataset(y=y, x=x), z
 
 
-def _replicates(config: SimulationConfig, n: int, errors=None):
-    """``(ds, e, slopes)`` of each replicate at sample size n, in replicate
-    order, with ``e = errors(z)`` of its hidden errors z, or None.
+def _replicates(config: SimulationConfig, n: int, measure, errors=None) -> list:
+    """``measure(ds, e, slopes)`` of each replicate at sample size n, in
+    replicate order, with ``e = errors(z)`` of its hidden errors z, or None.
 
-    The replicates are drawn a batch at a time and their slopes fitted
-    together, each the bits of a lone :func:`fit_r_estimator`.  ``errors``
+    The replicates are drawn a batch at a time, straight into one frozen
+    response array (B, n) and one design array (B, n, p).  Each dataset is a
+    read-only view of its rows, and the slopes are fitted on the arrays
+    themselves, each the bits of a lone :func:`fit_r_estimator`.  ``errors``
     reads z as it is drawn, so that a batch holds no errors while it is
-    fitted.  The studies read only the slopes, so no dispersion is computed.
+    fitted.  ``measure`` keeps no dataset, so one batch's arrays are freed
+    before the next batch is fitted.  The studies read only the slopes, so no
+    dispersion is computed.
     """
-    size = max(1, _BATCH_ELEMENTS // n)
+    size, measured = max(1, _BATCH_ELEMENTS // n), []
     for start in range(0, config.replications, size):
-        drawn = []
-        for rep in range(start, min(start + size, config.replications)):
-            ds, z = generate(config, n, rep)
-            drawn.append((ds, None if errors is None else errors(z)))
+        reps = range(start, min(start + size, config.replications))
+        y, x = np.empty((len(reps), n)), np.empty((len(reps), n, config.p))
+        hidden = []
+        for k, rep in enumerate(reps):
+            z = _draw(config, n, rep, y[k], x[k])
+            hidden.append(None if errors is None else errors(z))
+        y.setflags(write=False)
+        x.setflags(write=False)
+        datasets = [_dataset_of_rows(y_k, x_k) for y_k, x_k in zip(y, x)]
         if config.p:
-            slopes = [b for b, _ in _fit_slopes([ds for ds, _ in drawn], config.lam)]
+            slopes = [b for b, _ in _fit_slopes(y, x, config.lam)]
         else:
-            slopes = [np.zeros(0)] * len(drawn)
-        for (ds, z), b in zip(drawn, slopes):
-            yield ds, z, b
+            slopes = [np.zeros(0)] * len(reps)
+        measured.extend(map(measure, datasets, hidden, slopes))
+    return measured
 
 
 def _fit_slope(n_grid, rmse) -> float:
@@ -310,14 +345,17 @@ def rate_study_two_step(config: SimulationConfig) -> list[RateReport]:
     beta = np.asarray(config.beta, dtype=float)
     sup_true, sup_mean = [], []
     for n in config.n_grid:
-        d_true, d_mean = [], []
         idx = np.array([order_index(a, n) for a in config.alphas])
-        for ds, z_sorted, slopes in _replicates(config, n, lambda z: np.sort(z)[idx - 1]):
+
+        def deviations(ds, z_sorted, slopes):
             proc = averaged_two_step_process(ds, config.lam, slopes=slopes)
             b_vals = proc.values[idx - 1]
             nuisance_true = config.beta0 + ds.x_mean @ beta
-            d_true.append(np.max(np.abs(b_vals - nuisance_true - z_sorted)))
-            d_mean.append(np.max(np.abs(b_vals - ds.y_mean - z_sorted)))
+            return (np.max(np.abs(b_vals - nuisance_true - z_sorted)),
+                    np.max(np.abs(b_vals - ds.y_mean - z_sorted)))
+
+        d_true, d_mean = zip(*_replicates(config, n, deviations,
+                                          lambda z: np.sort(z)[idx - 1]))
         sup_true.append(d_true)
         sup_mean.append(d_mean)
     return [
@@ -331,10 +369,11 @@ def rate_study_r_estimator(config: SimulationConfig) -> RateReport:
     if config.p < 1:
         raise DomainError("slope rate study needs p >= 1")
     beta = np.asarray(config.beta, dtype=float)
-    errors_by_n = []
-    for n in config.n_grid:
-        errors_by_n.append([float(np.linalg.norm(slopes - beta))
-                            for _, _, slopes in _replicates(config, n)])
+
+    def error(ds, e, slopes):
+        return float(np.linalg.norm(slopes - beta))
+
+    errors_by_n = [_replicates(config, n, error) for n in config.n_grid]
     return _summarize("r_estimator_norm_error", config.n_grid, errors_by_n)
 
 
@@ -344,11 +383,10 @@ def functional_consistency_study(config: SimulationConfig, kind: str,
     population value for the configured error law."""
     truth = config.error_dist.true_functional(kind, level)
     estimator = {"cvar": fn.cvar, "mean_excess": fn.mean_excess}[kind]
-    errors_by_n = []
-    for n in config.n_grid:
-        errs = []
-        for ds, _, slopes in _replicates(config, n):
-            proc = centered_process(averaged_two_step_process(ds, config.lam, slopes=slopes))
-            errs.append(estimator(proc, level).value - truth)
-        errors_by_n.append(errs)
+
+    def error(ds, e, slopes):
+        proc = centered_process(averaged_two_step_process(ds, config.lam, slopes=slopes))
+        return estimator(proc, level).value - truth
+
+    errors_by_n = [_replicates(config, n, error) for n in config.n_grid]
     return _summarize(f"functional_{kind}_{level}", config.n_grid, errors_by_n)

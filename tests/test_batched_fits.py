@@ -1,7 +1,8 @@
 """Fitting the replicates of a Monte Carlo study in stacked batches.
 
-The simulation fits each batch of replicates with one interior point over
-arrays of shape (B, n).  Every estimate must be bitwise the one
+The simulation draws each batch of replicates once into arrays of shape
+(B, n) and (B, n, p), tests their designs in one call and fits them with one
+interior point.  Every estimate must be bitwise the one
 ``fit_r_estimator`` returns for its dataset alone, whatever the batch's size
 or other members, and a failing batch must raise what a loop of single fits
 raises first.  The batches must also keep the study's memory bounded by the
@@ -14,12 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import quantfunc.model as model
 import quantfunc.ranks as ranks
 import quantfunc.regression as regression
 import quantfunc.simulation as simulation
-from quantfunc import (Dataset, ErrorDistribution, IdentifiabilityError, SimulationConfig,
-                       SolverFailure, fit_r_estimator, generate, jaeckel_dispersion,
-                       rate_study_r_estimator, rate_study_two_step)
+from quantfunc import (DataError, Dataset, ErrorDistribution, IdentifiabilityError,
+                       SimulationConfig, SolverFailure, design_diagnostics, fit_r_estimator,
+                       generate, jaeckel_dispersion, rate_study_r_estimator,
+                       rate_study_two_step)
 from quantfunc.ranks import _fit_slopes
 from test_acceptance import MC_CONFIG
 
@@ -39,10 +42,15 @@ def bits(est):
     return [v.hex() for v in est.beta_tilde], est.dispersion.hex(), est.iterations
 
 
+def stacked(datasets):
+    """The responses (B, n) and designs (B, n, p) of a list of datasets."""
+    return np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
+
+
 def batch_bits(datasets, lam):
     """:func:`bits` of each dataset's fit, their LPs solved as one batch."""
     return [([v.hex() for v in b], jaeckel_dispersion(b, ds, lam).hex(), iterations)
-            for ds, (b, iterations) in zip(datasets, _fit_slopes(datasets, lam))]
+            for ds, (b, iterations) in zip(datasets, _fit_slopes(*stacked(datasets), lam))]
 
 
 def continuous_set(rng, n=40, p=2):
@@ -79,10 +87,10 @@ def duplicated_set():
 def test_each_replicate_is_its_lone_fit_bit_for_bit(config, monkeypatch):
     batches, sizes = [], []
 
-    def recording(datasets, lam):
-        fits = list(_fit_slopes(datasets, lam))
+    def recording(y, x, lam):
+        fits = list(_fit_slopes(y, x, lam))
         batches.append(fits)
-        sizes.append(len(datasets) * datasets[0].n)
+        sizes.append(y.size)
         return fits
 
     monkeypatch.setattr(simulation, "_fit_slopes", recording)
@@ -108,7 +116,7 @@ def test_two_datasets_at_the_einsum_buffer_size_fit_as_their_lone_fits():
 def interior_points(datasets, tau):
     """The interior point's (a, w - z, iterations) of each dataset, as bytes."""
     return [(a.tobytes(), r.tobytes(), iterations)
-            for a, r, iterations in zip(*regression._interior_point(datasets, tau))]
+            for a, r, iterations in zip(*regression._interior_point(*stacked(datasets), tau))]
 
 
 @pytest.mark.parametrize("size", [5, 40])
@@ -152,9 +160,10 @@ def test_a_batch_mixing_first_vertices_pivots_and_repairs(monkeypatch):
     went_on, fallbacks = [], []
     vertex, lstsq = regression._vertex, np.linalg.lstsq
 
-    def recording(ds, tau, a, d, order, basis, floor, iterations):
-        coef, total = vertex(ds, tau, a, d, order, basis, floor, iterations)
-        went_on.append((next(k for k, member in enumerate(batch) if member is ds),
+    def recording(y, x, tau, a, d, order, basis, floor, iterations):
+        coef, total = vertex(y, x, tau, a, d, order, basis, floor, iterations)
+        went_on.append((next(k for k, member in enumerate(batch)
+                             if np.array_equal(member.y, y) and np.array_equal(member.x, x)),
                         "repair" if basis is None else "lead", total - iterations))
         return coef, total
 
@@ -219,6 +228,117 @@ def test_errors_are_raised_in_dataset_order(monkeypatch):
         batch_bits([ok[0], flat], 0.5)
 
 
+@pytest.mark.parametrize("design,p", [("equispaced", 1), ("iid_uniform_cube", 3),
+                                      ("iid_normal", 2), ("iid_normal", 0)])
+@pytest.mark.parametrize("law", ["standard_normal", "shifted_exponential", "uniform_centered"])
+def test_a_study_batch_holds_the_bits_of_generate(design, p, law, monkeypatch):
+    n = 30
+    config = SimulationConfig(
+        n_grid=(n, 2 * n), p=p, beta0=1.0, beta=(2.0, -1.0, 0.5)[:p],
+        error_dist=ErrorDistribution(law), design=design, replications=7, seed=9)
+    monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 3 * n)  # batches of 3, 3 and 1
+    rows = []
+
+    def read(ds, z, slopes):
+        for array in (ds.y, ds.x):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        rows.append((ds.y.tobytes(), ds.x.tobytes(), z))
+
+    simulation._replicates(config, n, read, lambda z: z.tobytes())
+    want = []
+    for rep in range(config.replications):
+        ds, z = generate(config, n, rep)
+        want.append((ds.y.tobytes(), ds.x.tobytes(), z.tobytes()))
+    assert rows == want
+
+
+def test_a_study_refuses_non_finite_draws_as_generate_does():
+    config = replace(BENCH_CONFIG, beta0=1.5e308, beta=(1.5e308,), replications=3)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DataError, match="non-finite"):
+            generate(config, 100, 0)
+        with pytest.raises(DataError, match="non-finite"):
+            rate_study_r_estimator(config)
+
+
+def singularity_batch():
+    """Designs of p = 3 on both sides of ``SINGULARITY_RTOL``, and whether each
+    is singular.  The first five are those of
+    ``test_the_fit_rejects_exactly_the_singular_designs``, a uniform column
+    appended to the four of p = 2.  Two more perturb a collinear column by
+    1e-4 less and 1e-4 more, relatively, than the scale at which V_n's
+    eigenvalue ratio meets the threshold, so they lie just on either side."""
+    rng = np.random.default_rng(7)
+    x1, extra = rng.uniform(size=30), rng.uniform(size=(30, 1))
+    designs = [np.column_stack([x1, 2.0 * x1, extra]),
+               np.column_stack([x1, np.full(30, 3.0), extra]),
+               np.column_stack([x1, 2.0 * x1 + 1e-7 * rng.standard_normal(30), extra]),
+               np.column_stack([x1, 2.0 * x1 + 1e-3 * rng.standard_normal(30), extra]),
+               rng.uniform(size=(30, 3))]
+    # The eigenvalue ratio grows as the square of a small perturbation's scale.
+    e = rng.standard_normal(30)
+    ref = np.column_stack([x1, 2.0 * x1 + 1e-4 * e, extra])
+    eigvals = model._centered_scatter(Dataset(y=e, x=ref))[2]
+    scale = 1e-4 * np.sqrt(model.SINGULARITY_RTOL * eigvals[-1] / eigvals[0])
+    designs += [np.column_stack([x1, 2.0 * x1 + scale * (1.0 + side) * e, extra])
+                for side in (-1e-4, 1e-4)]
+    return designs, [True, True, True, False, False, True, False]
+
+
+def test_one_eigvalsh_call_decides_each_design_as_alone(monkeypatch):
+    rng = np.random.default_rng(8)
+    designs, expected = singularity_batch()
+    regular = [rng.uniform(size=(30, 3)) for _ in range(3)]
+    batch = [Dataset(y=rng.standard_normal(30), x=x)
+             for x in regular[:2] + designs[:4] + regular[2:] + designs[4:]]
+    y, x = stacked(batch)
+    alone = [model._centered_scatter(ds)[3] for ds in batch]
+    assert alone == [False, False] + expected[:4] + [False] + expected[4:]
+    assert model._centered_scatters(x)[3].tolist() == alone
+    # The two regular designs before the first singular one are yielded, each
+    # as fitted alone, and then the error is raised.
+    want = [(slopes, iterations) for slopes, _, iterations in
+            (bits(fit_r_estimator(ds, 0.5)) for ds in batch[:2])]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    yielded = []
+    with pytest.raises(IdentifiabilityError):
+        for b, iterations in _fit_slopes(y, x, 0.5):
+            yielded.append(([v.hex() for v in b], iterations))
+    assert calls == [(len(batch), 3, 3)]
+    assert yielded == want
+
+
+def test_design_diagnostics_keep_the_lone_arithmetic():
+    # The reference is the per-dataset arithmetic the diagnostics had before
+    # the scatter was batched.
+    rng = np.random.default_rng(9)
+    designs, expected = singularity_batch()
+    for x, singular in zip(designs + [rng.standard_normal((50, 3))], expected + [False]):
+        diag = design_diagnostics(Dataset(y=np.zeros(x.shape[0]), x=x))
+        xc = x - x.mean(axis=0)
+        v_n = xc.T @ xc
+        v_n = (v_n + v_n.T) / 2.0
+        eigvals = np.linalg.eigvalsh(v_n)
+        assert diag.v_n.tobytes() == v_n.tobytes()
+        assert diag.v_n_over_n_spectral_norm == float(eigvals[-1] / x.shape[0])
+        assert diag.max_centered_norm == float(np.max(np.linalg.norm(xc, axis=1)))
+        if singular:
+            assert diag.max_leverage is None
+        else:
+            leverage = np.einsum("ij,ji->i", xc, np.linalg.solve(v_n, xc.T))
+            assert diag.max_leverage == min(max(float(np.max(leverage)), 0.0), 1.0)
+
+
 def traced_peak(config):
     tracemalloc.start()
     try:
@@ -230,11 +350,11 @@ def traced_peak(config):
 
 def test_study_memory_follows_the_batch_size_not_the_replications():
     rate_study_two_step(replace(BENCH_CONFIG, replications=2))  # lazy imports and caches
-    # The study peaks at 13.1 float64 arrays of the batch budget (numpy 2.4);
-    # 16 leaves the 22 % for other numpy versions that 24 left over the 19.7
-    # of the earlier loop.
+    # The study peaks at 11.8 float64 arrays of the batch budget (numpy 2.4);
+    # 16 leaves more than the 22 % for other numpy versions that 24 left over
+    # the 19.7 of the earlier loop.
     assert traced_peak(BENCH_CONFIG) <= 16 * 8 * simulation._BATCH_ELEMENTS
-    # 100 replications fill the largest batch at every n, as 200 do; 40 leave
-    # the n = 100 batch short of the budget.
-    full = traced_peak(replace(BENCH_CONFIG, replications=100))
-    assert traced_peak(replace(BENCH_CONFIG, replications=200)) <= 1.1 * full
+    # 200 replications fill the largest batch at every n, as 400 do; 100
+    # leave the n = 100 batch short of the budget.
+    full = traced_peak(replace(BENCH_CONFIG, replications=200))
+    assert traced_peak(replace(BENCH_CONFIG, replications=400)) <= 1.1 * full

@@ -58,7 +58,8 @@ def enumerated_optimum(y, x, tau):
 
 
 def assert_optimal_vertex(y, x, tau, oracle=highs_optimum):
-    coef, _ = next(_certified_vertices([Dataset(y=y, x=x)], tau))
+    ds = Dataset(y=y, x=x)
+    coef, _ = next(_certified_vertices(ds.y[None], ds.x[None], tau))
     assert check_loss(y, x, coef, tau) == pytest.approx(oracle(y, x, tau),
                                                         rel=RTOL, abs=1e-12)
     r = y - coef[0] - x @ coef[1:]

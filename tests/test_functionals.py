@@ -8,11 +8,18 @@ from quantfunc import (Dataset, DomainError, StepQuantileProcess,
                        averaged_two_step_process, cvar, empirical_quantile_process,
                        gastwirth_j, linear_functional, lorenz, mean_excess,
                        staudte_r)
+from quantfunc import functionals
 from quantfunc.functionals import QUAD_NODES, quad
 
 
 def proc_of(*values):
     return empirical_quantile_process(np.array(values, dtype=float))
+
+
+def test_the_quadrature_constants_are_leggauss_on_the_unit_interval():
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    assert [float(t).hex() for t in (nodes + 1.0) / 2.0] == [t.hex() for t in functionals._NODES]
+    assert [float(w).hex() for w in weights / 2.0] == [w.hex() for w in functionals._NODE_WEIGHTS]
 
 
 class TestLinearFunctional:

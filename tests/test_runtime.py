@@ -1,4 +1,5 @@
-"""The runtime needs numpy alone, and perfbench's trace bindings stay resolvable."""
+"""The runtime needs numpy alone, without numpy.polynomial, and perfbench's
+trace bindings stay resolvable."""
 
 import importlib
 import importlib.util
@@ -12,13 +13,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(quantfunc.__file__)))
 
 
-def test_import_loads_no_scipy():
+def imported(package):
+    """The modules of ``package`` that a fresh ``import quantfunc, quantfunc.cli`` loads."""
     code = ("import sys; import quantfunc, quantfunc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package + '.'!r})))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    assert imported("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # The quadrature rule is written out, so no import solves its eigenproblem.
+    assert imported("numpy.polynomial") == "[]"
 
 
 def test_every_trace_binding_resolves():
