@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -38,38 +38,47 @@ class CliError(QuantfuncError):
         self.code = code
 
 
+_CHUNK = 1 << 16  # bytes or characters per read of the blank and row scans
+_SLICE = 4096     # array values per call of the C encoder
+
+
 def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset:
     """Strict CSV ingestion: header row, comma separator, '.' decimals, UTF-8.
 
-    The used columns are parsed in one vectorized pass.  Missing,
-    non-numeric or whitespace-padded cells, and digit separators such as
-    ``1_000``, abort with the offending row number.
+    The header line is read here and the used columns are parsed from the
+    open file in one vectorized pass, so the body is never held as one
+    string.  Missing, non-numeric or whitespace-padded cells, and digit
+    separators such as ``1_000``, abort with the offending row number.
     """
+    columns = [response, *covariates]
+    error = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header_line = fh.readline()
-            body = fh.read()
+            header = [h.strip() for h in next(csv.reader([header_line]))]
+            if not header_line.strip() or not all(c in header for c in columns):
+                _raise_input_fault(path, columns)
+            cols = [header.index(c) for c in columns]
+            try:
+                with warnings.catch_warnings():
+                    # A body of empty lines is refused as "no data rows" below.
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=cols,
+                                      ndmin=2, comments=None)
+            except ValueError as exc:  # a bad cell, or an undecodable byte
+                error = exc
+        if error is not None or not len(data):
+            _raise_input_fault(path, columns)
+        # np.loadtxt strips blanks around a number; the rows are scanned cell
+        # by cell only when a blank occurs at all.
+        elif _has_blank(path, len(header_line.encode())):
+            with open(path, "r", encoding="utf-8") as fh:
+                fh.readline()
+                _raise_bad_row(path, _lines(fh), cols)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError("input", f"cannot read {path}: {exc}") from exc
-    if not header_line.strip():
-        raise CliError("input", f"{path}: empty file, header row required")
-    header = [h.strip() for h in next(csv.reader([header_line]))]
-    for col in [response, *covariates]:
-        if col not in header:
-            raise CliError("input", f"{path}: column {col!r} not in header {header}")
-    cols = [header.index(c) for c in [response, *covariates]]
-    if not body.strip():
-        raise CliError("input", f"{path}: no data rows")
-    try:
-        data = np.loadtxt(io.StringIO(body), delimiter=",", quotechar='"',
-                          usecols=cols, ndmin=2, comments=None)
-    except ValueError as exc:
-        _raise_bad_row(path, body, cols)
-        raise CliError("input", f"{path}: {exc}") from exc
-    # np.loadtxt strips blanks around a number; the rows are scanned cell by
-    # cell only when a blank occurs at all.
-    if any(c in body for c in " \t\f\v"):
-        _raise_bad_row(path, body, cols)
+    if error is not None:
+        raise CliError("input", f"{path}: {error}") from error
     y, x = data[:, 0], data[:, 1:]
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
         bad = int(np.argmax(~np.isfinite(y))) + 2 if not np.all(np.isfinite(y)) else \
@@ -81,9 +90,57 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
         raise CliError("data", str(exc)) from exc
 
 
-def _raise_bad_row(path: str, body: str, cols: list[int]) -> None:
+def _has_blank(path: str, start: int) -> bool:
+    """Whether a space, tab, form feed or vertical tab occurs in the file
+    past byte ``start``, read in chunks of ``_CHUNK`` bytes.
+
+    Each of them is one byte in UTF-8.  With ``start`` the header line's
+    length in UTF-8, the body begins at ``start``, or one byte later when the
+    header ended in ``\\r\\n``, so the scan sees the body and at most a
+    newline more."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while chunk := fh.read(_CHUNK):
+            if any(blank in chunk for blank in b" \t\f\v"):
+                return True
+    return False
+
+
+def _lines(fh):
+    """The lines ``str.splitlines`` makes of the text left in ``fh``, read in
+    chunks of ``_CHUNK`` characters.  Universal newlines make every line
+    break of a text file one character long."""
+    rest = ""
+    while chunk := fh.read(_CHUNK):
+        *lines, rest = (rest + chunk).splitlines(keepends=True)
+        yield from (line[:-1] for line in lines)
+    yield from rest.splitlines()
+
+
+def _raise_input_fault(path: str, columns: list[str]) -> None:
+    """Read the file again whole and raise for its first fault, in the order
+    the checks take: an undecodable byte, a missing header or column, a
+    blank body, then the first bad row.  Returns when there is none."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header_line = fh.readline()
+            body = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError("input", f"cannot read {path}: {exc}") from exc
+    if not header_line.strip():
+        raise CliError("input", f"{path}: empty file, header row required")
+    header = [h.strip() for h in next(csv.reader([header_line]))]
+    for col in columns:
+        if col not in header:
+            raise CliError("input", f"{path}: column {col!r} not in header {header}")
+    if not body.strip():
+        raise CliError("input", f"{path}: no data rows")
+    _raise_bad_row(path, body.splitlines(), [header.index(c) for c in columns])
+
+
+def _raise_bad_row(path: str, lines, cols: list[int]) -> None:
     """Raise for the first data row whose used cells are not all plain numbers."""
-    rows = csv.reader(body.splitlines())
+    rows = csv.reader(lines)
     for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
@@ -97,39 +154,56 @@ def _raise_bad_row(path: str, body: str, cols: list[int]) -> None:
             raise CliError("input", f"{path}: row {lineno}: bad numeric cell ({exc})") from exc
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
+def _write_json(write, value, indent: str = "") -> None:
+    """Write ``json.dumps(value, sort_keys=True, indent=2)``, nested at
+    ``indent``, through ``write`` as it is encoded.
 
     The indenting encoder is pure Python and slow on long lists, so a 1-D
-    ndarray leaf is written by one call of the C encoder, with separators
-    that reproduce the indented layout.  Dictionaries and lists are walked
-    here; every other value goes to ``json.dumps`` (JSON text holds no raw
-    newline, so indenting its lines is safe).
+    ndarray leaf goes through the C encoder in slices of ``_SLICE`` values,
+    with separators that reproduce the indented layout; no text longer than
+    one slice's is held.  Dictionaries and lists are walked here; every other
+    value goes to ``json.dumps`` (JSON text holds no raw newline, so
+    indenting its lines is safe).
     """
     inner = indent + "  "
     if isinstance(value, np.ndarray):
         if value.ndim == 1 and value.size:
-            body = json.dumps(value.tolist(), separators=(",\n" + inner, ": "))
-            return "[\n" + inner + body[1:-1] + "\n" + indent + "]"
+            sep = ",\n" + inner
+            write("[\n" + inner)
+            for start in range(0, value.size, _SLICE):
+                if start:
+                    write(sep)
+                write(json.dumps(value[start:start + _SLICE].tolist(),
+                                 separators=(sep, ": "))[1:-1])
+            write("\n" + indent + "]")
+            return
         value = value.tolist()
     if isinstance(value, dict) and value:
-        items = [f"{json.dumps(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
-        ends = "{}"
+        ends, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
     elif isinstance(value, list) and value:
-        items = [_json_text(v, inner) for v in value]
-        ends = "[]"
+        ends, items = "[]", [("", v) for v in value]
     else:
-        return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
-    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + ends[1]
+        write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent))
+        return
+    write(ends[0])
+    sep = "\n" + inner
+    for key, item in items:
+        write(sep + key)
+        _write_json(write, item, inner)
+        sep = ",\n" + inner
+    write("\n" + indent + ends[1])
 
 
 def _dump(payload, path: str | None) -> None:
-    text = _json_text(payload) + "\n"
+    """Write ``payload`` as indented JSON with sorted keys to ``path``, or
+    to stdout when there is none."""
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            _write_json(fh.write, payload)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        _write_json(sys.stdout.write, payload)
+        sys.stdout.write("\n")
 
 
 def run_fit(args) -> None:

@@ -24,6 +24,8 @@ from .errors import DataError, DomainError
 # singular (smallest eigenvalue relative to the largest).
 SINGULARITY_RTOL = 1e-10
 
+_CSV_ROWS = 4096  # rows per write of StepQuantileProcess.to_csv
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -192,8 +194,10 @@ class StepQuantileProcess:
         bp = self.breakpoints()
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("alpha_breakpoint,value\n")
-            for b, v in zip(bp, self.values):
-                fh.write(f"{float(b)!r},{float(v)!r}\n")
+            for start in range(0, self.n, _CSV_ROWS):
+                rows = zip(bp[start:start + _CSV_ROWS].tolist(),
+                           self.values[start:start + _CSV_ROWS].tolist())
+                fh.write("".join(f"{b!r},{v!r}\n" for b, v in rows))
 
 
 def empirical_quantile_process(values) -> StepQuantileProcess:

@@ -1,12 +1,13 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from quantfunc import averaged_two_step_process, lorenz
 from quantfunc import cli, simulation as sim
-from quantfunc.cli import _json_text, main, read_csv_dataset
+from quantfunc.cli import main, read_csv_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -79,8 +80,22 @@ class TestFit:
         assert len(lines) == 6
 
 
+def plain(v):
+    """``v`` with every ndarray made a list, as ``json.dumps`` takes it."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {k: plain(w) for k, w in v.items()}
+    if isinstance(v, list):
+        return [plain(w) for w in v]
+    return v
+
+
+SPECIAL = np.array([-0.0, float("nan"), 5e-324, 0.1, -2.5e-300])
+
+
 class TestReportText:
-    """The report writer gives the bytes of the indenting encoder."""
+    """The streamed report writer gives the bytes of the indenting encoder."""
 
     @pytest.mark.parametrize("payload", [
         {"b": np.array([0.1, -2.5e-300, float("nan"), float("inf"), 3.0]),
@@ -90,17 +105,58 @@ class TestReportText:
         [{"x": np.array([1.5, 2.5])}, {"y": 1}, []],
         np.array([7.0, 8.0]),
         "plain",
+        # Arrays about the encoder's slice length.
+        {f"len {n}": np.resize(SPECIAL, n) for n in
+         (0, 1, cli._SLICE - 1, cli._SLICE, cli._SLICE + 1, 2 * cli._SLICE + 1)},
+        [np.resize(SPECIAL[::-1], cli._SLICE + 1), {"inner": [np.resize(SPECIAL, 3)]}],
     ])
-    def test_equal_to_json_dumps(self, payload):
-        def plain(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, dict):
-                return {k: plain(w) for k, w in v.items()}
-            if isinstance(v, list):
-                return [plain(w) for w in v]
-            return v
-        assert _json_text(payload) == json.dumps(plain(payload), sort_keys=True, indent=2)
+    def test_equal_to_json_dumps(self, tmp_path, capsys, payload):
+        want = json.dumps(plain(payload), sort_keys=True, indent=2) + "\n"
+        path = tmp_path / "report.json"
+        cli._dump(payload, str(path))
+        assert path.read_bytes() == want.encode()
+        cli._dump(payload, None)
+        assert capsys.readouterr().out == want
+
+
+class TestMemory:
+    """Ingest and report writing hold a few n-vectors, never the text."""
+
+    N = 200_000
+
+    def write_csv(self, path, text_column=False):
+        y = np.random.default_rng(31).standard_normal(self.N).tolist()
+        if text_column:  # blanks outside the used cells: every row is scanned
+            path.write_text("y,city\n" + "".join(f"{v!r},New York\n" for v in y))
+        else:
+            path.write_text("y\n" + "".join(f"{v!r}\n" for v in y))
+        return str(path)
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("text_column", [False, True])
+    def test_ingest_peak(self, tmp_path, text_column):
+        path = self.write_csv(tmp_path / "big.csv", text_column)
+        assert self.traced_peak(read_csv_dataset, path, "y", []) <= 4 * 8 * self.N
+
+    def test_report_write_peak(self, tmp_path, monkeypatch):
+        reports = []
+        monkeypatch.setattr(cli, "_dump", lambda payload, output: reports.append(payload))
+        assert main(["--command", "fit", "--input", self.write_csv(tmp_path / "big.csv"),
+                     "--response", "y", "--alpha", "0.05,0.5,0.95"]) == 0
+        monkeypatch.undo()
+        report, out = reports[0], tmp_path / "report.json"
+        assert len(report["averaged_process"]) == self.N
+        assert self.traced_peak(cli._dump, report, str(out)) <= 8 * self.N
+        assert out.read_bytes() == (json.dumps(plain(report), sort_keys=True, indent=2)
+                                    + "\n").encode()
 
 
 class TestFunctional:
@@ -373,6 +429,48 @@ class TestErrors:
                            "--response", "y")
         assert code != 0
         assert err.startswith(f"error:input: {path}: row {row}: bad numeric cell")
+
+    @pytest.mark.parametrize("text", ["y\n   \n\n", "y\n\t\n", "y\n\n\n", "y\n", "y"])
+    def test_blank_or_absent_body_has_no_data_rows(self, tmp_path, capsys, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", "y")
+        assert (code, out, err) == (2, "", f"error:input: {path}: no data rows\n")
+
+    @pytest.mark.parametrize("response", ["y", "nope"])
+    def test_undecodable_byte_deep_in_the_body(self, tmp_path, capsys, response):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y\n" + b"1.25\n" * 300_000 + b"2.5\xff\n3\n")
+        with pytest.raises(UnicodeDecodeError) as reason:  # reading the body whole
+            with open(path, encoding="utf-8") as fh:
+                fh.readline()
+                fh.read()
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", response)
+        assert (code, out, err) == (2, "", f"error:input: cannot read {path}: {reason.value}\n")
+
+    def test_padded_cell_in_the_last_of_many_rows(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("y\n" + "0.5\n" * 199_999 + " 0.5\n")
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", "y")
+        assert (code, out) == (2, "")
+        assert err == (f"error:input: {path}: row 200001: bad numeric cell "
+                       "(could not convert string to float: ' 0.5')\n")
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_rows_are_scanned_as_splitlines_splits(self, tmp_path, monkeypatch, chunk):
+        text = "y\r\n1\r2\n\n3\x0b4\x0c5\x1c6\x1d\x1e7\x85\u2028\u20298 9\r\n\r10\n11"
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            want = fh.read().splitlines()
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            assert list(cli._lines(fh)) == want
 
     def test_unused_text_column_quotes_and_crlf_accepted(self, tmp_path, capsys):
         path = tmp_path / "d.csv"

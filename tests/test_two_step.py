@@ -3,6 +3,7 @@ import pytest
 
 from quantfunc import (Dataset, DataError, averaged_two_step_process,
                        centered_process, empirical_quantile_process, two_step_quantile)
+from quantfunc import model
 from quantfunc.model import StepQuantileProcess, order_index
 
 ALPHA_GRID = [round(0.05 * k, 3) for k in range(1, 20)]
@@ -157,3 +158,18 @@ class TestProcessCsv:
         proc.to_csv(p1)
         proc.to_csv(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_chunks_write_the_row_by_row_text(self, tmp_path):
+        # Two chunks of rows and one more, with -0.0 beside +0.0, ties, and
+        # values whose repr takes an exponent.
+        n = 2 * model._CSV_ROWS + 1
+        rng = np.random.default_rng(27)
+        values = np.round(rng.standard_normal(n), 2) * 10.0 ** rng.integers(-30, 30, n)
+        values[:6] = [-0.0, 0.0, -0.0, 5e-324, 5e-324, 1e22]
+        proc = StepQuantileProcess(values=np.sort(values, kind="stable"))
+        want = "alpha_breakpoint,value\n" + "".join(
+            f"{float(b)!r},{float(v)!r}\n" for b, v in zip(proc.breakpoints(), proc.values))
+        assert ",-0.0\n" in want and "e-" in want and "e+" in want
+        out = tmp_path / "proc.csv"
+        proc.to_csv(out)
+        assert out.read_bytes() == want.encode()
