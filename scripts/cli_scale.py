@@ -2,8 +2,10 @@
 
 Usage: python scripts/cli_scale.py [--scale S] [--repeats R] [--src SRC ...]
 
-Writes two CSVs into a temporary directory: 2e5 rows with p = 0 (the shape
-of perfbench's ``cli`` input) and 1e6 rows with p = 3, each row count
+Writes three CSVs into a temporary directory: 2e5 rows with p = 0 (the shape
+of perfbench's ``cli`` input), 1e6 rows with p = 3, and the 2e5-row p = 0
+values again with an unused ``city`` column of ``New York``, whose blank
+sends each used cell through the strict per-cell parse.  Each row count is
 multiplied by S (default 1).  Fits each at three levels, R times (default
 1), with the ``src/`` tree next to this script or with each SRC in turn.
 
@@ -14,7 +16,8 @@ peak is the CLI's own, which a child of a large process would hide.
 
 Prints one JSON line per fit: the case, the tree, the exit code, the wall
 time the small parent saw, the child's peak RSS in MiB and the SHA-256 of the
-report.  Exits 1 when a fit fails.
+report.  Exits 1 when a fit fails, or when a tree's report on the text-column
+CSV differs from its report on the same values without that column.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import tempfile
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-CASES = ((200_000, 0), (1_000_000, 3))
+CASES = ((200_000, 0, False), (1_000_000, 3, False), (200_000, 0, True))
 ROWS_PER_WRITE = 100_000
 ALPHAS = "0.25,0.5,0.75"
 CLI_ENTRY = "import sys; from quantfunc.cli import main; sys.exit(main())"
@@ -44,16 +47,20 @@ print(json.dumps({"exit": code, "wall_s": round(wall, 3), "child_peak_mib": roun
 """
 
 
-def write_csv(path: str, rows: int, p: int) -> None:
-    """y = 1 + x'(1, ..., p) + N(0, 1) errors, x uniform on the unit cube."""
+def write_csv(path: str, rows: int, p: int, city: bool) -> None:
+    """y = 1 + x'(1, ..., p) + N(0, 1) errors, x uniform on the unit cube,
+    drawn from a seed of ``rows`` and ``p``; with ``city``, each row ends in
+    an unused ``New York`` cell."""
     rng = np.random.default_rng([rows, p])
     beta = np.arange(1.0, p + 1.0)
+    header = ["y", *(f"x{j}" for j in range(1, p + 1))] + (["city"] if city else [])
+    end = ",New York\n" if city else "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["y", *(f"x{j}" for j in range(1, p + 1))]) + "\n")
+        fh.write(",".join(header) + "\n")
         for start in range(0, rows, ROWS_PER_WRITE):
             x = rng.uniform(0.0, 1.0, (min(ROWS_PER_WRITE, rows - start), p))
             y = 1.0 + x @ beta + rng.standard_normal(len(x))
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in np.c_[y, x].tolist()))
+            fh.write("".join(",".join(map(repr, row)) + end for row in np.c_[y, x].tolist()))
 
 
 def fit(src: str, csv: str, p: int, report: str) -> dict:
@@ -79,18 +86,19 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--src", action="append", help="a quantfunc source tree")
     args = parser.parse_args(argv)
     trees = args.src or [os.path.join(os.path.dirname(HERE), "src")]
-    failed = False
+    failed, digests = False, {}
     with tempfile.TemporaryDirectory() as tmp:
-        for rows, p in CASES:
+        for rows, p, city in CASES:
             rows = max(int(rows * args.scale), 2 * (p + 1))
-            csv = os.path.join(tmp, f"n{rows}_p{p}.csv")
-            write_csv(csv, rows, p)
+            csv = os.path.join(tmp, f"n{rows}_p{p}{'_city' if city else ''}.csv")
+            write_csv(csv, rows, p, city)
             for run in range(args.repeats):
                 for src in trees:
                     out = fit(src, csv, p, os.path.join(tmp, "report.json"))
-                    failed |= out["exit"] != 0
-                    print(json.dumps({"rows": rows, "p": p, "src": src, "run": run, **out}),
-                          flush=True)
+                    digest = digests.setdefault((rows, p, src), out.get("report_sha256"))
+                    failed |= out["exit"] != 0 or out.get("report_sha256") != digest
+                    print(json.dumps({"rows": rows, "p": p, "city": city, "src": src,
+                                      "run": run, **out}), flush=True)
     return 1 if failed else 0
 
 

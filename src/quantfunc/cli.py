@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import sys
 import warnings
 
@@ -38,8 +40,13 @@ class CliError(QuantfuncError):
         self.code = code
 
 
-_CHUNK = 1 << 16  # bytes or characters per read of the blank and row scans
+_CHUNK = 1 << 16  # bytes per read of the body scan
 _SLICE = 4096     # array values per call of the C encoder
+# A body with one of these bytes or a non-ASCII one may pad a cell in a way
+# numpy's parser would strip: the ASCII blanks other than a line break, and
+# a quote, which can hide a line break in a cell.  Every other whitespace
+# character is non-ASCII in UTF-8.
+_FLAGGED = b" \t\v\f\x1c\x1d\x1e\x1f\""
 
 
 def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset:
@@ -47,8 +54,9 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
 
     The header line is read here and the used columns are parsed from the
     open file in one vectorized pass, so the body is never held as one
-    string.  Missing, non-numeric or whitespace-padded cells, and digit
-    separators such as ``1_000``, abort with the offending row number.
+    string.  Missing, non-numeric, non-finite or whitespace-padded cells,
+    and digit separators such as ``1_000``, abort with the offending row
+    number.
     """
     columns = [response, *covariates]
     error = None
@@ -59,68 +67,58 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
             if not header_line.strip() or not all(c in header for c in columns):
                 _raise_input_fault(path, columns)
             cols = [header.index(c) for c in columns]
+            # numpy's parser strips whitespace around a number, so a body
+            # that may pad a cell has each used cell parsed by _cell.
+            strict = _cell if _needs_cell_check(path, len(header_line.encode())) else None
             try:
                 with warnings.catch_warnings():
                     # A body of empty lines is refused as "no data rows" below.
                     warnings.simplefilter("ignore", UserWarning)
                     data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=cols,
-                                      ndmin=2, comments=None)
+                                      ndmin=2, comments=None, converters=strict)
             except ValueError as exc:  # a bad cell, or an undecodable byte
                 error = exc
-        if error is not None or not len(data):
+        if error is not None or not len(data) or not np.isfinite(data).all():
             _raise_input_fault(path, columns)
-        # np.loadtxt strips blanks around a number; the rows are scanned cell
-        # by cell only when a blank occurs at all.
-        elif _has_blank(path, len(header_line.encode())):
-            with open(path, "r", encoding="utf-8") as fh:
-                fh.readline()
-                _raise_bad_row(path, _lines(fh), cols)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError("input", f"cannot read {path}: {exc}") from exc
     if error is not None:
         raise CliError("input", f"{path}: {error}") from error
-    y, x = data[:, 0], data[:, 1:]
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
-        bad = int(np.argmax(~np.isfinite(y))) + 2 if not np.all(np.isfinite(y)) else \
-            int(np.argmax(~np.all(np.isfinite(x), axis=1))) + 2
-        raise CliError("input", f"{path}: row {bad}: non-finite value")
     try:
-        return Dataset(y=y, x=x)
+        return Dataset(y=data[:, 0], x=data[:, 1:])
     except DataError as exc:
         raise CliError("data", str(exc)) from exc
 
 
-def _has_blank(path: str, start: int) -> bool:
-    """Whether a space, tab, form feed or vertical tab occurs in the file
-    past byte ``start``, read in chunks of ``_CHUNK`` bytes.
+def _cell(text: str) -> float:
+    """The number a used cell holds: plain ASCII, with no blank around it
+    and no digit separator, as ``float`` reads it."""
+    if text != text.strip() or "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
-    Each of them is one byte in UTF-8.  With ``start`` the header line's
-    length in UTF-8, the body begins at ``start``, or one byte later when the
-    header ended in ``\\r\\n``, so the scan sees the body and at most a
-    newline more."""
+
+def _needs_cell_check(path: str, start: int) -> bool:
+    """Whether the file past byte ``start`` holds a non-ASCII byte or one of
+    ``_FLAGGED``, read in chunks of ``_CHUNK`` bytes.
+
+    With ``start`` the header line's length in UTF-8, the body begins at
+    ``start``, or one byte later when the header ended in ``\\r\\n``, so the
+    scan sees the body and at most a newline more."""
     with open(path, "rb") as fh:
         fh.seek(start)
         while chunk := fh.read(_CHUNK):
-            if any(blank in chunk for blank in b" \t\f\v"):
+            if not chunk.isascii() or any(byte in chunk for byte in _FLAGGED):
                 return True
     return False
-
-
-def _lines(fh):
-    """The lines ``str.splitlines`` makes of the text left in ``fh``, read in
-    chunks of ``_CHUNK`` characters.  Universal newlines make every line
-    break of a text file one character long."""
-    rest = ""
-    while chunk := fh.read(_CHUNK):
-        *lines, rest = (rest + chunk).splitlines(keepends=True)
-        yield from (line[:-1] for line in lines)
-    yield from rest.splitlines()
 
 
 def _raise_input_fault(path: str, columns: list[str]) -> None:
     """Read the file again whole and raise for its first fault, in the order
     the checks take: an undecodable byte, a missing header or column, a
-    blank body, then the first bad row.  Returns when there is none."""
+    blank body, then the first row with a used cell that is not a plain
+    number or not finite.  Rows are numbered by the physical line on which
+    they start.  Returns when there is none."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header_line = fh.readline()
@@ -135,23 +133,17 @@ def _raise_input_fault(path: str, columns: list[str]) -> None:
             raise CliError("input", f"{path}: column {col!r} not in header {header}")
     if not body.strip():
         raise CliError("input", f"{path}: no data rows")
-    _raise_bad_row(path, body.splitlines(), [header.index(c) for c in columns])
-
-
-def _raise_bad_row(path: str, lines, cols: list[int]) -> None:
-    """Raise for the first data row whose used cells are not all plain numbers."""
-    rows = csv.reader(lines)
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        try:
-            for j in cols:
-                cell = row[j]
-                if cell != cell.strip() or "_" in cell or not cell.isascii():
-                    raise ValueError(f"could not convert string to float: {cell!r}")
-                float(cell)
-        except (ValueError, IndexError) as exc:
-            raise CliError("input", f"{path}: row {lineno}: bad numeric cell ({exc})") from exc
+    cols = [header.index(c) for c in columns]
+    rows, line = csv.reader(io.StringIO(body, newline="")), 2
+    for row in rows:
+        if row:
+            try:
+                values = [_cell(row[j]) for j in cols]
+            except (ValueError, IndexError) as exc:
+                raise CliError("input", f"{path}: row {line}: bad numeric cell ({exc})") from exc
+            if not all(map(math.isfinite, values)):
+                raise CliError("input", f"{path}: row {line}: non-finite value")
+        line = rows.line_num + 2
 
 
 def _write_json(write, value, indent: str = "") -> None:
@@ -424,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     except QuantfuncError as exc:
         print(f"error:solver: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # every read maps its own; this is the report's write
+        print(f"error:output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

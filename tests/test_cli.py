@@ -126,7 +126,7 @@ class TestMemory:
 
     def write_csv(self, path, text_column=False):
         y = np.random.default_rng(31).standard_normal(self.N).tolist()
-        if text_column:  # blanks outside the used cells: every row is scanned
+        if text_column:  # a blank outside the used cells: each used cell goes to _cell
             path.write_text("y,city\n" + "".join(f"{v!r},New York\n" for v in y))
         else:
             path.write_text("y\n" + "".join(f"{v!r}\n" for v in y))
@@ -408,6 +408,10 @@ class TestFlagsBeforeWork:
         assert (code, out, err, calls) == (2, "", message, [])
 
 
+# Every whitespace character but the two line breaks of universal newlines.
+PADS = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\n\r"]
+
+
 class TestErrors:
     def test_bad_cell_row_localized(self, capsys):
         code, _, err = run(capsys, "--command", "fit", "--input", fx("bad_cell.csv"),
@@ -459,18 +463,69 @@ class TestErrors:
         assert err == (f"error:input: {path}: row 200001: bad numeric cell "
                        "(could not convert string to float: ' 0.5')\n")
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-    def test_rows_are_scanned_as_splitlines_splits(self, tmp_path, monkeypatch, chunk):
-        text = "y\r\n1\r2\n\n3\x0b4\x0c5\x1c6\x1d\x1e7\x85\u2028\u20298 9\r\n\r10\n11"
+    @pytest.mark.parametrize("place", ["leading", "trailing", "quoted"])
+    @pytest.mark.parametrize("pad", PADS, ids=[f"U+{ord(c):04X}" for c in PADS])
+    def test_every_whitespace_pad_of_a_used_cell_refused(self, tmp_path, capsys,
+                                                          pad, place):
+        cell = {"leading": pad + "2", "trailing": "2" + pad,
+                "quoted": f'"{pad}2"'}[place]
         path = tmp_path / "d.csv"
-        path.write_bytes(text.encode())
-        with open(path, encoding="utf-8") as fh:
-            fh.readline()
-            want = fh.read().splitlines()
-        monkeypatch.setattr(cli, "_CHUNK", chunk)
-        with open(path, encoding="utf-8") as fh:
-            fh.readline()
-            assert list(cli._lines(fh)) == want
+        path.write_text(f"y,city\n1,a\n{cell},b\n3,c\n", encoding="utf-8")
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", "y")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error:input: {path}: row 3: bad numeric cell")
+
+    @pytest.mark.parametrize("pad", PADS, ids=[f"U+{ord(c):04X}" for c in PADS])
+    def test_whitespace_in_an_unused_column_accepted(self, tmp_path, capsys, pad):
+        reports = []
+        for city in ("New" + pad + "York", "NewYork"):
+            path = tmp_path / "d.csv"
+            path.write_text(f"y,city\n1,a\n2,{city}\n3,c\n", encoding="utf-8")
+            reports.append(run(capsys, "--command", "fit", "--input", str(path),
+                               "--response", "y"))
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+    @pytest.mark.parametrize("body,row", [
+        ('1,a\n"2\n",b\n3,c\n', 3),
+        ('1,"a\nb"\n"2\n",c\n3,d\n', 4),
+    ])
+    def test_line_break_in_a_quoted_used_cell_refused(self, tmp_path, capsys, body, row):
+        path = tmp_path / "d.csv"
+        path.write_text("y,city\n" + body)
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", "y")
+        assert (code, out) == (2, "")
+        assert err == (f"error:input: {path}: row {row}: bad numeric cell "
+                       "(could not convert string to float: '2\\n')\n")
+
+    @pytest.mark.parametrize("text,covariates,row", [
+        ("y\n1\n\n\n2\ninf\n3\n", "", 6),
+        ("y,x\n1,2\n\n3,nan\n4,5\n", "x", 4),
+    ])
+    def test_non_finite_row_counts_physical_lines(self, tmp_path, capsys, text,
+                                                  covariates, row):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", "y", "--covariates", covariates)
+        assert (code, out, err) == (2, "", f"error:input: {path}: row {row}: non-finite value\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--command", "fit", "--input", fx("p0.csv"), "--response", "y"],
+        ["--command", "fit", "--input", fx("p0.csv"), "--response", "y", "--format", "csv"],
+        ["--command", "functional", "--input", fx("p0.csv"), "--response", "y",
+         "--functional", "cvar", "--level", "0.5", "--format", "csv"],
+        ["--command", "simulate", "--config", "CONFIG", "--format", "csv"],
+    ])
+    def test_unwritable_output_is_one_output_line(self, tmp_path, capsys, argv):
+        config, target = tmp_path / "cfg.json", tmp_path / "missing" / "r.out"
+        config.write_text(json.dumps({"study": "two_step_rate", "n_grid": [20, 40], "p": 0,
+                                      "replications": 2}))
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out, err) == (
+            2, "", f"error:output: [Errno 2] No such file or directory: '{target}'\n")
 
     def test_unused_text_column_quotes_and_crlf_accepted(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
