@@ -68,14 +68,16 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
                 _raise_input_fault(path, columns)
             cols = [header.index(c) for c in columns]
             # numpy's parser strips whitespace around a number, so a body
-            # that may pad a cell has each used cell parsed by _cell.
+            # that may pad a cell has each used cell parsed by _cell.  The
+            # encoding hands it str: numpy 1.x defaults to latin1 bytes.
             strict = _cell if _needs_cell_check(path, len(header_line.encode())) else None
             try:
                 with warnings.catch_warnings():
                     # A body of empty lines is refused as "no data rows" below.
                     warnings.simplefilter("ignore", UserWarning)
                     data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=cols,
-                                      ndmin=2, comments=None, converters=strict)
+                                      ndmin=2, comments=None, converters=strict,
+                                      encoding="utf-8")
             except ValueError as exc:  # a bad cell, or an undecodable byte
                 error = exc
         if error is not None or not len(data) or not np.isfinite(data).all():

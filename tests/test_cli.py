@@ -535,6 +535,18 @@ class TestErrors:
         assert code == 0
         assert json.loads(out)["averaged_process"] == [-0.3, 1.5, 2.5]
 
+    def test_cells_reach_the_strict_parse_as_text(self, tmp_path, capsys, monkeypatch):
+        # numpy 1.x's loadtxt defaults to encoding="bytes" and then hands
+        # converters bytes; ingest must ask for text on every version.
+        real = np.loadtxt
+
+        def numpy1_default(*args, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.np, "loadtxt", numpy1_default)
+        self.test_unused_text_column_quotes_and_crlf_accepted(tmp_path, capsys)
+
     def test_missing_column(self, capsys):
         code, _, err = run(capsys, "--command", "fit", "--input", fx("p0.csv"),
                            "--response", "nope")
