@@ -9,6 +9,7 @@ single ``error:<code>: message`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import json
@@ -24,14 +25,6 @@ from .ranks import fit_r_estimator
 from .two_step import averaged_two_step_process, centered_process, two_step_quantile
 from . import functionals as fn
 from . import simulation as sim
-
-FUNCTIONALS = {
-    "cvar": fn.cvar,
-    "mean_excess": fn.mean_excess,
-    "lorenz": fn.lorenz,
-    "gastwirth_j": fn.gastwirth_j,
-    "staudte_r": fn.staudte_r,
-}
 
 
 class CliError(QuantfuncError):
@@ -50,7 +43,8 @@ _FLAGGED = b" \t\v\f\x1c\x1d\x1e\x1f\""
 
 
 def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset:
-    """Strict CSV ingestion: header row, comma separator, '.' decimals, UTF-8.
+    """Strict CSV ingestion: header row, comma separator, '.' decimals, UTF-8
+    with or without a byte-order mark.
 
     The header line is read here and the used columns are parsed from the
     open file in one vectorized pass, so the body is never held as one
@@ -61,7 +55,7 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
     columns = [response, *covariates]
     error = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             header_line = fh.readline()
             header = [h.strip() for h in next(csv.reader([header_line]))]
             if not header_line.strip() or not all(c in header for c in columns):
@@ -80,7 +74,7 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
                                       encoding="utf-8")
             except ValueError as exc:  # a bad cell, or an undecodable byte
                 error = exc
-        if error is not None or not len(data) or not np.isfinite(data).all():
+        if error is not None or not len(data):
             _raise_input_fault(path, columns)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError("input", f"cannot read {path}: {exc}") from exc
@@ -88,7 +82,8 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
         raise CliError("input", f"{path}: {error}") from error
     try:
         return Dataset(y=data[:, 0], x=data[:, 1:])
-    except DataError as exc:
+    except DataError as exc:  # a non-finite cell is named by its row
+        _raise_input_fault(path, columns)
         raise CliError("data", str(exc)) from exc
 
 
@@ -106,9 +101,10 @@ def _needs_cell_check(path: str, start: int) -> bool:
 
     With ``start`` the header line's length in UTF-8, the body begins at
     ``start``, or one byte later when the header ended in ``\\r\\n``, so the
-    scan sees the body and at most a newline more."""
+    scan sees the body and at most a newline more; a byte-order mark moves
+    both by its 3 bytes."""
     with open(path, "rb") as fh:
-        fh.seek(start)
+        fh.seek(start + 3 * (fh.read(3) == codecs.BOM_UTF8))
         while chunk := fh.read(_CHUNK):
             if not chunk.isascii() or any(byte in chunk for byte in _FLAGGED):
                 return True
@@ -122,7 +118,7 @@ def _raise_input_fault(path: str, columns: list[str]) -> None:
     number or not finite.  Rows are numbered by the physical line on which
     they start.  Returns when there is none."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             header_line = fh.readline()
             body = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -244,7 +240,7 @@ def run_functional(args) -> None:
         proc = centered_process(averaged_two_step_process(ds, args.lam))
         source = "centered_two_step"
     with np.errstate(over="ignore"):  # an overflowed value is refused as not finite
-        est = FUNCTIONALS[args.functional](proc, args.level)
+        est = getattr(fn, args.functional)(proc, args.level)
     payload = {
         "kind": est.kind,
         "level": est.level,
@@ -387,9 +383,9 @@ def _check_flags(args) -> None:
         if not args.input or not args.response:
             raise CliError("config", f"{args.command} requires --input and --response")
     if args.command == "functional":
-        if args.functional not in FUNCTIONALS:
+        if args.functional not in fn.FUNCTIONALS:
             raise CliError("config", f"unknown functional {args.functional!r}; "
-                                     f"choose from {sorted(FUNCTIONALS)}")
+                                     f"choose from {sorted(fn.FUNCTIONALS)}")
         if args.level is None:
             raise CliError("config", "--level is required for a functional run")
     if args.format == "csv" and not args.output:

@@ -18,6 +18,12 @@ import numpy as np
 from .errors import DomainError
 from .model import StepQuantileProcess, order_index, scaled_level
 
+# The functionals the CLI computes, named as their functions here.  Callers
+# look each up with getattr at call time, so a wrapper rebound on this module
+# (perfbench's tracer) is the one called.  The first two are the ones whose
+# population value simulation.ErrorDistribution.true_functional knows.
+FUNCTIONALS = ("cvar", "mean_excess", "lorenz", "gastwirth_j", "staudte_r")
+
 # Gauss-Legendre nodes per cell of :func:`quad`; the rule is exact for
 # polynomials of degree <= 2 * QUAD_NODES - 1.  The nodes and weights are the
 # bits of ``numpy.polynomial.legendre.leggauss(8)`` mapped from [-1, 1] to

@@ -166,9 +166,11 @@ class StepQuantileProcess:
     @classmethod
     def _of_sorted(cls, values: np.ndarray, **fields):
         """``cls(values=values, **fields)`` without the copy and the order
-        check, for a fresh nonempty float64 vector that is sorted by
-        construction and held by no one else.  The finiteness check and the
-        read-only flag stay."""
+        check, for a fresh one-dimensional float64 vector that is sorted by
+        construction and held by no one else.  The size and finiteness
+        checks and the read-only flag stay."""
+        if values.size == 0:
+            raise DataError("process needs a nonempty one-dimensional value vector")
         if not np.all(np.isfinite(values)):
             raise DataError("non-finite process values")
         values.setflags(write=False)
@@ -203,11 +205,9 @@ class StepQuantileProcess:
 def empirical_quantile_process(values) -> StepQuantileProcess:
     """Empirical quantile function of a sample, as a step process."""
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise DataError("need a nonempty one-dimensional sample")
-    if not np.all(np.isfinite(v)):
-        raise DataError("non-finite sample values")
-    return StepQuantileProcess(values=np.sort(v))
+    if v.ndim != 1:
+        raise DataError("need a one-dimensional sample")
+    return StepQuantileProcess._of_sorted(np.sort(v))
 
 
 def _centered_scatters(x: np.ndarray):

@@ -44,9 +44,7 @@ def _scores(r: np.ndarray, lam: float) -> np.ndarray:
     """
     n = r.shape[0]
     nl = n * lam
-    k = int(nl)
-    if k >= n:  # n*lambda rounded up to n: every rank is at most n*lambda
-        return np.zeros(n)
+    k = int(nl)  # < n: lambda <= 1 - 2**-53, so n*lambda rounds below n for n < 2**53
     t = np.partition(r, k)[k]
     scores = (r > t).astype(float)
     ties = np.flatnonzero(r == t)

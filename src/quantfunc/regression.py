@@ -47,8 +47,9 @@ class QuantileFit:
     n_active: int
 
 
-def _augmented_design(ds: Dataset) -> np.ndarray:
-    return np.hstack([np.ones((ds.n, 1)), ds.x])
+def _augmented(x: np.ndarray) -> np.ndarray:
+    """The rows ``(1, x_i)`` of the rows ``x_i`` of x, of shape (..., m, p)."""
+    return np.concatenate((np.ones(x.shape[:-1] + (1,)), x), axis=-1)
 
 
 def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
@@ -60,7 +61,7 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    a_design = _augmented_design(ds)
+    a_design = _augmented(ds.x)
     n, q = a_design.shape
     if np.linalg.matrix_rank(a_design) < q:
         raise IdentifiabilityError("augmented design (1, X) is rank deficient")
@@ -391,7 +392,7 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     floor = _floor(y, x)
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
     rows, lead = np.arange(batch)[:, None], _lead(a, r_ipm, q)
-    sub = np.concatenate((np.ones((batch, q, 1)), x[rows, lead]), axis=2)
+    sub = _augmented(x[rows, lead])
     independent = np.linalg.matrix_rank(sub) == q
     sub[~independent] = np.eye(q)  # placeholders: these problems go on alone
     coef = np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0]
@@ -442,12 +443,12 @@ def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarr
     if basis is None:
         basis = []
         for i in order:
-            if np.linalg.matrix_rank(np.c_[np.ones(len(basis) + 1), x[basis + [i]]]) > len(basis):
+            if np.linalg.matrix_rank(_augmented(x[basis + [i]])) > len(basis):
                 basis.append(int(i))
                 if len(basis) == q:
                     break
     for pivots in range(y.shape[0] + 1):
-        sub = np.c_[np.ones(q), x[basis]]
+        sub = _augmented(x[basis])
         coef = np.linalg.solve(sub, y[basis])
         r = y - _a(xb, coef[None])[0]
         if pivots == 0:  # the bound of each point off the basis, tracked from

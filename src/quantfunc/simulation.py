@@ -32,7 +32,7 @@ ERROR_DISTS = ("standard_normal", "shifted_exponential", "uniform_centered")
 DESIGNS = ("iid_uniform_cube", "equispaced", "iid_normal")
 # Functionals whose population value ErrorDistribution.true_functional knows,
 # the ones functional_consistency_study can run.
-STUDY_FUNCTIONALS = ("cvar", "mean_excess")
+STUDY_FUNCTIONALS = fn.FUNCTIONALS[:2]
 
 # Sup-deviation threshold c in the coverage fraction P(sup-deviation < c / sqrt(n)).
 COVERAGE_C = 5.0
@@ -381,12 +381,11 @@ def functional_consistency_study(config: SimulationConfig, kind: str,
                                  level: float) -> RateReport:
     """Error of a functional of the centered two-step process against its
     population value for the configured error law."""
-    truth = config.error_dist.true_functional(kind, level)
-    estimator = {"cvar": fn.cvar, "mean_excess": fn.mean_excess}[kind]
+    truth = config.error_dist.true_functional(kind, level)  # refuses any other kind
 
     def error(ds, e, slopes):
         proc = centered_process(averaged_two_step_process(ds, config.lam, slopes=slopes))
-        return estimator(proc, level).value - truth
+        return getattr(fn, kind)(proc, level).value - truth
 
     errors_by_n = [_replicates(config, n, error) for n in config.n_grid]
     return _summarize(f"functional_{kind}_{level}", config.n_grid, errors_by_n)

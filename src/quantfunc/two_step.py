@@ -44,10 +44,12 @@ class AveragedTwoStepProcess(StepQuantileProcess):
         return self.values
 
 
-def _slopes(ds: Dataset, lam: float) -> np.ndarray:
-    if ds.p == 0:
-        return np.zeros(0)
-    return fit_r_estimator(ds, lam).beta_tilde
+def _residuals(ds: Dataset, lam: float, slopes) -> tuple[np.ndarray, np.ndarray]:
+    """The slopes as floats, fitted at ``lam`` when None, and ``y - X slopes``."""
+    if slopes is None:
+        slopes = fit_r_estimator(ds, lam).beta_tilde if ds.p else np.zeros(0)
+    slopes = np.asarray(slopes, dtype=float)
+    return slopes, ds.y - ds.x @ slopes
 
 
 def two_step_quantile(ds: Dataset, alpha: float, lam: float = 0.5,
@@ -57,13 +59,10 @@ def two_step_quantile(ds: Dataset, alpha: float, lam: float = 0.5,
     ``slopes`` may be supplied to reuse one rank-estimation across many
     alpha levels (the slopes do not depend on alpha).
     """
-    if slopes is None:
-        slopes = _slopes(ds, lam)
-    residuals = ds.y - ds.x @ slopes
+    slopes, residuals = _residuals(ds, lam, slopes)
     k = order_index(alpha, ds.n)
     intercept = float(np.partition(residuals, k - 1)[k - 1])
-    return TwoStepQuantile(alpha=alpha, lam=lam, intercept=intercept,
-                           slopes=np.asarray(slopes, dtype=float))
+    return TwoStepQuantile(alpha=alpha, lam=lam, intercept=intercept, slopes=slopes)
 
 
 def averaged_two_step_process(ds: Dataset, lam: float = 0.5,
@@ -74,12 +73,9 @@ def averaged_two_step_process(ds: Dataset, lam: float = 0.5,
     both sides are order statistics of the same adjusted values, so the
     identity is exact in floating point.
     """
-    if slopes is None:
-        slopes = _slopes(ds, lam)
-    slopes = np.asarray(slopes, dtype=float)
     # Same arithmetic path as intercept + x_bar'slopes, so the order-statistic
     # identity between the two holds exactly in floating point.
-    adjusted = ds.y - ds.x @ slopes
+    slopes, adjusted = _residuals(ds, lam, slopes)
     adjusted += ds.x_mean @ slopes
     adjusted.sort()
     return AveragedTwoStepProcess._of_sorted(adjusted, lam=lam,

@@ -154,6 +154,16 @@ def test_an_uncertified_vertex_is_never_returned(monkeypatch):
     assert check_loss(y, x, info.value.best, 0.5) == pytest.approx(want, rel=RTOL)
 
 
+def test_lead_ranks_the_whole_batch_when_a_nan_is_among_the_least_keys():
+    # Row 1 has two finite keys for q = 3, so its third least key is NaN and
+    # selection finds too few candidates: the batch is ranked by _order, NaN
+    # keys last, then by |r|.
+    a = np.array([[0.2, 0.9, 0.5, 0.1, 0.7], [np.nan, 0.3, np.nan, np.nan, 0.6]])
+    r = np.array([[1.0, -2.0, 0.0, 3.0, -1.0], [0.5, -0.5, 2.0, 1.0, 0.0]])
+    lead = regression._lead(a, r, 3)
+    assert lead.tolist() == regression._order(a, r)[:, :3].tolist() == [[2, 4, 0], [4, 1, 0]]
+
+
 def test_traced_peak_stays_linear_and_lean():
     # An n x q temporary, or a normal matrix built from one, would show here.
     n = 20_000

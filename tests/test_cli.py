@@ -547,6 +547,25 @@ class TestErrors:
         monkeypatch.setattr(cli.np, "loadtxt", numpy1_default)
         self.test_unused_text_column_quotes_and_crlf_accepted(tmp_path, capsys)
 
+    @pytest.mark.parametrize("body,code", [
+        ("y\n1\n2\n3\n", 0),
+        ("y,city\n1,New York\n2,b\n3,c\n", 0),
+        ("y\n1\n2\ninf\n", 2),
+    ], ids=["plain", "text_column", "non_finite"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, body, code):
+        reports = []
+        for mark in (b"\xef\xbb\xbf", b""):
+            path = tmp_path / "d.csv"
+            path.write_bytes(mark + body.encode())
+            reports.append(run(capsys, "--command", "fit", "--input", str(path),
+                               "--response", "y"))
+        assert reports[0] == reports[1] and reports[0][0] == code
+
+    def test_body_scan_starts_after_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,a b\n1,2\n3,4\n")
+        assert not cli._needs_cell_check(str(path), len(b"y,a b\n"))
+
     def test_missing_column(self, capsys):
         code, _, err = run(capsys, "--command", "fit", "--input", fx("p0.csv"),
                            "--response", "nope")
