@@ -26,7 +26,9 @@ strings:
   design.
 
 Prints one line per differing case and a summary that counts the
-differing cases of each kind; exits 1 on any difference.  Takes about 25
+differing cases of each kind; exits 1 on any difference.  A differing
+``lp`` case also says whether the simplex's own vertex is unchanged and
+whether the new objective is at most the old one.  Takes about 25
 seconds.
 """
 
@@ -105,9 +107,9 @@ def emit() -> dict:
     solve = regression.solve_simplex
 
     def recording(c, a, b, basis):
-        x, obj = solve(c, a, b, basis)
+        x, red = solve(c, a, b, basis)
         vertices.append(x.copy())
-        return x, obj
+        return x, red
 
     regression.solve_simplex = recording
     rng = np.random.default_rng(3)
@@ -169,6 +171,10 @@ def main(argv: list[str]) -> int:
     differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     for key in differ:
         print(f"DIFFERS {key}: {old.get(key)} != {new.get(key)}")
+        if key.startswith("lp ") and key in old and key in new:
+            before, after = (float.fromhex(v[key]["objective"][0]) for v in (old, new))
+            print(f"  vertex unchanged: {old[key]['vertex'] == new[key]['vertex']}; "
+                  f"objective {before!r} -> {after!r}, not higher: {after <= before}")
     iterations = sum(v["iterations"] for v in new.values()
                      if isinstance(v, dict) and "iterations" in v)
     kinds = {}

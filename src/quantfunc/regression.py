@@ -1,14 +1,19 @@
 """Exact check-loss LPs: regression quantiles and their certified vertices.
 
-Two solvers minimize ``sum_i rho_alpha(y_i - b0 - x_i'b)`` exactly.
+Two solvers minimize ``sum_i rho_alpha(y_i - b0 - x_i'b)``; both end in
+:func:`_vertex`'s certified vertex.
 
 - :func:`fit_regression_quantile` splits the residuals into positive and
   negative parts and pivots a dense tableau by Bland's rule, so repeated fits
   return the same vertex.
 - :func:`_certified_vertices`, which the R-estimator uses, runs the
   Frisch-Newton interior point :func:`_interior_point` over a batch of
-  problems of one n and p, then returns for each a vertex whose check loss
-  is certified by the dual bound.
+  problems of one n and p.
+
+Either solver's duals ``d`` in ``[alpha - 1, alpha]`` give the lower bound
+``d'r`` on the check loss.  The vertex is solved from the raw data through q
+observations, and returned only when :func:`_certify` finds its check loss
+at that bound; otherwise it pivots, or raises :class:`SolverFailure`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .errors import DataError, DomainError, IdentifiabilityError, SolverFailure
 from .model import Dataset, check_loss_vec
 from .simplex import solve_simplex
 
-OBJECTIVE_RTOL = 1e-8
 RESIDUAL_ZERO_TOL = 1e-9
 
 _IPM_STEP = 0.99995     # fraction of the step to the boundary of the box
@@ -57,7 +61,10 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
 
     Raises :class:`IdentifiabilityError` when the augmented design (1, X) is
     rank deficient.  With non-unique optima the deterministic pivoting rule
-    selects a reproducible vertex.
+    selects a reproducible vertex.  The simplex's row duals
+    ``alpha - red[u_i]`` certify it through :func:`_vertex`, which solves it
+    from the raw data; :class:`SolverFailure` is raised when no vertex is
+    certified.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
@@ -86,9 +93,11 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
             amat[i] = -amat[i]
             b[i] = -b[i]
 
-    x, _ = solve_simplex(c, amat, b, basis)
+    x, red = solve_simplex(c, amat, b, basis)
     coef = x[:q] - x[q:2 * q]
-    coef = _polish_vertex(ds, alpha, a_design, coef)
+    d = np.clip(alpha - red[2 * q:2 * q + n], alpha - 1.0, alpha)
+    a = d + (1.0 - alpha)
+    coef, _ = _vertex(ds.y, ds.x, alpha, a, d, _order(a, ds.y - a_design @ coef), None, 0)
     residuals = ds.y - a_design @ coef
     objective = float(np.sum(check_loss_vec(residuals, alpha)))
     scale = float(np.max(np.abs(residuals))) if n else 1.0
@@ -100,29 +109,6 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
         objective=objective,
         n_active=n_active,
     )
-
-
-def _polish_vertex(ds: Dataset, alpha: float, a_design: np.ndarray,
-                   coef: np.ndarray) -> np.ndarray:
-    """Re-solve the vertex from the original data to remove pivoting roundoff.
-
-    An optimal vertex interpolates p + 1 observations; solving that
-    interpolation system directly recovers the coefficients to machine
-    precision (for p = 0, the exact order statistic).  The polished point is
-    kept only when it does not worsen the objective.
-    """
-    q = a_design.shape[1]
-    residuals = ds.y - a_design @ coef
-    active = np.argsort(np.abs(residuals), kind="stable")[:q]
-    sub = a_design[active]
-    if np.linalg.matrix_rank(sub) < q:
-        return coef
-    polished = np.linalg.solve(sub, ds.y[active])
-    obj_old = float(np.sum(check_loss_vec(residuals, alpha)))
-    obj_new = float(np.sum(check_loss_vec(ds.y - a_design @ polished, alpha)))
-    if obj_new <= obj_old + OBJECTIVE_RTOL * (1.0 + abs(obj_old)):
-        return polished
-    return coef
 
 
 def averaged_regression_quantile(fit: QuantileFit, ds: Dataset) -> float:
@@ -298,6 +284,19 @@ def _floor(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.shape[2] + 1) * np.finfo(float).eps * np.abs(y).sum(axis=1)
 
 
+def _certify(y: np.ndarray, x: np.ndarray, tau: float, d: np.ndarray, coef: np.ndarray):
+    """The residuals ``r = y - (1, X) b`` (B, n), check losses (B,) and dual
+    gaps ``loss - d'r`` (B,) of the vertices ``b``, coef of shape (B, q), of a
+    batch, and whether each is certified: its gap is within ``_VERTEX_RTOL``
+    of its loss plus the floor (see :func:`_floor`) of
+    ``|y| + |(1, X)| |b|``, which bounds the rounding of r."""
+    r = y - _a(x, coef)
+    loss = check_loss_vec(r, tau).sum(axis=1)
+    gap = loss - np.einsum("bi,bi->b", d, r)
+    floor = _floor(np.abs(y) + _a(np.abs(x), np.abs(coef)), x)
+    return r, loss, gap, gap <= _VERTEX_RTOL * loss + floor
+
+
 def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.) on
     the check-loss LPs of a batch of B problems of one n and p, the responses
@@ -370,43 +369,39 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
 
     A vertex interpolates q independent observations ranked by how far the
     interior point's ``a_i`` lie from {0, 1}, then by ``|residual|``, then by
-    index.  It is certified once its check loss is within ``_VERTEX_RTOL`` of
-    the dual bound ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``, or within the
-    rounding of an exact fit.  The batch ranks every problem's observations,
-    tests the rank of its q lead rows and solves, prices and certifies its
-    first vertex in stacked calls.  Only a problem whose lead rows are
-    dependent or whose first vertex is not certified goes on alone, to
-    :func:`_vertex`.  Each ``(1, X)`` must have full rank.  Yields, in batch
-    order, the coefficients and the iterations plus pivots of each problem,
-    or raises :class:`SolverFailure` at the first problem with no certified
-    vertex.
+    index.  It is certified by :func:`_certify` against the dual bound
+    ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``.  The batch ranks every
+    problem's observations, tests the rank of its q lead rows and solves,
+    prices and certifies its first vertex in stacked calls.  Only a problem
+    whose lead rows are dependent or whose first vertex is not certified goes
+    on alone, to :func:`_vertex`.  Each ``(1, X)`` must have full rank.
+    Yields, in batch order, the coefficients and the iterations plus pivots
+    of each problem, or raises :class:`SolverFailure` at the first problem
+    with no certified vertex.
 
     y and x are read in place and not copied, so a study batch is held once.
     After the interior point, the batch holds ``a``, ``w - z``, d and, while
-    the first vertices are priced, their residuals and check losses: about
-    six (B, n) float64 arrays beyond y and x at the peak, below the interior
-    point's (tracemalloc, p = 1).
+    the first vertices are priced, their residuals, check losses and
+    rounding bounds, |X| among them: about 6 + p (B, n) float64 arrays
+    beyond y and x at the peak, below the interior point's for p <= 3
+    (tracemalloc).
     """
     batch, q = y.shape[0], x.shape[2] + 1
     a, r_ipm, iterations = _interior_point(y, x, tau)
-    floor = _floor(y, x)
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
     rows, lead = np.arange(batch)[:, None], _lead(a, r_ipm, q)
     sub = _augmented(x[rows, lead])
     independent = np.linalg.matrix_rank(sub) == q
     sub[~independent] = np.eye(q)  # placeholders: these problems go on alone
     coef = np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0]
-    r = y - _a(x, coef)
-    loss = check_loss_vec(r, tau).sum(axis=1)
-    certified = independent & (loss - np.einsum("bi,bi->b", d, r) <= _VERTEX_RTOL * loss + floor)
-    del r, sub
+    certified = independent & _certify(y, x, tau, d, coef)[3]
     for k in range(batch):
         if certified[k]:
             yield coef[k], int(iterations[k])
         else:
             basis = lead[k].tolist() if independent[k] else None
             yield _vertex(y[k], x[k], tau, a[k], d[k], _order(a[k], r_ipm[k]), basis,
-                          floor[k], int(iterations[k]))
+                          int(iterations[k]))
 
 
 def _order(a: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -430,15 +425,18 @@ def _lead(a: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
 
 
 def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarray,
-            order: np.ndarray, basis: list[int] | None, floor,
+            order: np.ndarray, basis: list[int] | None,
             iterations: int) -> tuple[np.ndarray, int]:
     """The certified vertex of one problem, responses y (n,) and design x
-    (n, p), from its interior point ``a``, dual weights ``d`` and observation
+    (n, p), from its solver's ``a``, dual weights ``d`` and observation
     ``order`` (see :func:`_certified_vertices`), starting at ``basis``, or
     with no basis at the first q independent observations in that order.
     Until a vertex is certified, the basis point of smallest index whose
     Koenker-Bassett multiplier lies outside ``[tau - 1, tau]`` leaves, and
-    the point where the loss stops falling along that edge enters."""
+    the point where the loss stops falling along that edge enters.  The
+    pivots also end when the entering point makes the basis singular, as a
+    copy of a basis row does; then :class:`SolverFailure` carries the last
+    vertex as ``best``."""
     xb, q = x[None], x.shape[1] + 1
     if basis is None:
         basis = []
@@ -449,14 +447,15 @@ def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarr
                     break
     for pivots in range(y.shape[0] + 1):
         sub = _augmented(x[basis])
-        coef = np.linalg.solve(sub, y[basis])
-        r = y - _a(xb, coef[None])[0]
+        try:
+            coef = np.linalg.solve(sub, y[basis])
+        except np.linalg.LinAlgError:  # the point that entered made it singular
+            break
+        (r,), (loss,), (gap,), (certified,) = _certify(y[None], xb, tau, d[None], coef[None])
         if pivots == 0:  # the bound of each point off the basis, tracked from
             # here on so that a degenerate pivot cannot undo the one before
             above = (r > 0.0) | ((r == 0.0) & (a >= 0.5))
-        loss = float(check_loss_vec(r, tau).sum())
-        gap = loss - float(np.einsum("i,i", d, r))
-        if gap <= _VERTEX_RTOL * loss + floor:
+        if certified:
             return coef, iterations + pivots
         psi = np.where(above, tau, tau - 1.0)
         psi[basis] = 0.0
@@ -480,5 +479,5 @@ def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarr
         above[basis[k]] = sign < 0
         basis[k] = int(kinks[rank[cross[0]]])
     # No pivot raises the loss, so the last vertex is the best one seen.
-    raise SolverFailure(f"no vertex certified: its check loss {loss!r} exceeds "
+    raise SolverFailure(f"no vertex certified: its check loss {float(loss)!r} exceeds "
                         f"the dual bound by {gap:.3e}", best=coef)

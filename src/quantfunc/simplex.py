@@ -17,8 +17,8 @@ PIVOT_TOL = 1e-9
 COST_TOL = 1e-10
 
 
-def solve_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
-                  max_iter: int | None = None) -> tuple[np.ndarray, float]:
+def solve_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  basis: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Minimize ``c'x`` over ``{A x = b, x >= 0}`` starting from ``basis``.
 
     Parameters
@@ -34,26 +34,25 @@ def solve_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: list[int],
 
     Returns
     -------
-    x, objective
-        Optimal vertex and attained objective value.
+    x, red
+        Optimal vertex and its reduced costs ``c - A'pi``, pi the row duals;
+        scaling a row of ``A`` does not move them.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, nvars = a.shape
-    if max_iter is None:
-        max_iter = 50 * (m + nvars) + 1000
 
     basis = list(basis)
     # Reduced costs for the current basis (basis columns are the identity).
     red = c - c[basis] @ a
 
-    for _ in range(max_iter):
+    for _ in range(50 * (m + nvars) + 1000):
         entering_candidates = np.nonzero(red < -COST_TOL)[0]
         if entering_candidates.size == 0:
             x = np.zeros(nvars)
             x[basis] = b
-            return x, float(c @ x)
+            return x, red
         j = int(entering_candidates[0])  # Bland: smallest index
 
         col = a[:, j]

@@ -160,8 +160,8 @@ def test_a_batch_mixing_first_vertices_pivots_and_repairs(monkeypatch):
     went_on, fallbacks = [], []
     vertex, lstsq = regression._vertex, np.linalg.lstsq
 
-    def recording(y, x, tau, a, d, order, basis, floor, iterations):
-        coef, total = vertex(y, x, tau, a, d, order, basis, floor, iterations)
+    def recording(y, x, tau, a, d, order, basis, iterations):
+        coef, total = vertex(y, x, tau, a, d, order, basis, iterations)
         went_on.append((next(k for k, member in enumerate(batch)
                              if np.array_equal(member.y, y) and np.array_equal(member.x, x)),
                         "repair" if basis is None else "lead", total - iterations))

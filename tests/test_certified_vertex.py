@@ -1,11 +1,14 @@
-"""The check-loss LP behind the rank-based slopes, against independent oracles.
+"""The check-loss LPs and their certified vertices, against independent oracles.
 
 ``regression._certified_vertices`` yields the vertex of the lambda-regression
-quantile LP whose slope part ``fit_r_estimator`` reports.  HiGHS (scipy, from
-the ``test`` extra) and the enumeration of all interpolating vertices are the
-oracles; neither shares code with the interior point or its pivots.
+quantile LP whose slope part ``fit_r_estimator`` reports, and
+``fit_regression_quantile`` ends its simplex in the same certificate.  HiGHS
+(scipy, from the ``test`` extra) and the enumeration of all interpolating
+vertices are the oracles; neither shares code with the solvers or their
+pivots.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -18,7 +21,9 @@ import pytest
 from scipy.optimize import linprog
 
 import quantfunc.regression as regression
-from quantfunc import Dataset, SolverFailure, fit_r_estimator, jaeckel_dispersion
+from quantfunc import (Dataset, SolverFailure, fit_r_estimator, fit_regression_quantile,
+                       jaeckel_dispersion)
+from quantfunc.cli import main
 from quantfunc.regression import _certified_vertices
 
 RTOL = 1e-12
@@ -152,6 +157,67 @@ def test_an_uncertified_vertex_is_never_returned(monkeypatch):
     with pytest.raises(SolverFailure) as info:
         fit_r_estimator(Dataset(y=y, x=x), 0.5)
     assert check_loss(y, x, info.value.best, 0.5) == pytest.approx(want, rel=RTOL)
+
+
+def test_an_uncertified_regression_quantile_is_never_returned(monkeypatch):
+    # The reduced costs of zero row duals are the costs themselves: with
+    # d = 0 no vertex of positive loss is certified, so the fit raises with
+    # the optimal vertex the pivots reach.
+    y, x = uniform_design_set(100)
+    want = highs_optimum(y, x, 0.25)
+    solve = regression.solve_simplex
+    monkeypatch.setattr(regression, "solve_simplex",
+                        lambda c, a, b, basis: (solve(c, a, b, basis)[0], c))
+    with pytest.raises(SolverFailure) as info:
+        fit_regression_quantile(Dataset(y=y, x=x), 0.25)
+    assert check_loss(y, x, info.value.best, 0.25) == pytest.approx(want, rel=RTOL)
+
+
+def fit_csv(tmp_path, capsys, text, covariates):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    code = main(["--command", "fit", "--input", str(path), "--response", "y",
+                 "--covariates", covariates])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return json.loads(out)["slopes"]
+
+
+def test_exact_fit_with_a_large_intercept_is_certified(tmp_path, capsys):
+    # The line y = 300 x - 168.6: the vertex's rounding loss, 5.7e-15, is
+    # that of its fitted values, far above eps times sum |y|.
+    slopes = fit_csv(tmp_path, capsys, "y,x\n-0.6,0.56\n0,0.562\n-0.6,0.56\n0,0.562\n", "x")
+    assert slopes == [pytest.approx(300.0, rel=1e-12)]
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e-8])
+def test_tiny_levels_reach_the_optimum(lam):
+    # d = clip(a) - (1 - lam) holds a weight of lam only to about 1e-16, so
+    # an optimal vertex's dual gap is at the rounding of its residuals.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((100, 1))
+        assert_optimal_vertex(rng.standard_cauchy(100), x, lam)
+
+
+def test_copies_of_basis_rows_fit_the_exact_plane(tmp_path, capsys):
+    rows = "0,-2,-3\n0,3,-2\n2,-1,-3\n"
+    slopes = fit_csv(tmp_path, capsys, "y,x1,x2\n" + rows * 2, "x1,x2")
+    assert slopes == pytest.approx([2.0, -10.0], rel=1e-12)
+
+
+def test_a_singular_basis_ends_the_pivots(monkeypatch):
+    # With every vertex refused, the pivot from the exact plane lets a copy
+    # of a basis row enter; the singular basis ends the pivots with the best
+    # vertex seen instead of a LinAlgError.
+    y = np.array([0.0, 0.0, 2.0] * 2)
+    x = np.array([[-2.0, -3.0], [3.0, -2.0], [-1.0, -3.0]] * 2)
+    a, r, _ = regression._interior_point(y[None], x[None], 0.5)
+    d = np.clip(a[0], 0.0, 1.0) - 0.5
+    monkeypatch.setattr(regression, "_floor", lambda y, x: np.full(y.shape[0], -1.0))
+    with pytest.raises(SolverFailure) as info:
+        regression._vertex(y, x, 0.5, a[0], d, regression._order(a[0], r[0]), None, 0)
+    assert info.value.best == pytest.approx([-26.0, 2.0, -10.0], rel=1e-12)
 
 
 def test_lead_ranks_the_whole_batch_when_a_nan_is_among_the_least_keys():

@@ -111,6 +111,20 @@ class TestFitRegressionQuantile:
             fit = fit_regression_quantile(ds, alpha)
             assert fit.beta0_hat == empirical_quantile_process(y)(alpha)
 
+    def test_tied_set_returns_the_exact_vertex(self):
+        # The simplex's pivots leave roundoff in its vertex (an intercept of
+        # -4.4e-16 here); the vertex solved from the data through its basis
+        # observations is exact.
+        rng = np.random.default_rng(3)  # scripts/compare_fits.py's "lp tied"
+        rng.uniform(size=(400, 2))  # after its n = 400 set
+        rng.standard_normal(400)
+        x = rng.integers(0, 3, size=(60, 2)).astype(float)
+        ds = Dataset(y=rng.integers(0, 4, size=60).astype(float), x=x)
+        fit = fit_regression_quantile(ds, 0.25)
+        assert fit.beta0_hat == 0.0
+        assert fit.beta_hat.tolist() == [0.5, 0.0]
+        assert fit.objective == 20.125
+
     def test_holds_one_tableau(self):
         # The simplex pivots on the constraint matrix in place: the traced
         # peak stays near one n x (2n + 2q + 1) tableau, not two.
