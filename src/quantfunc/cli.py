@@ -16,11 +16,12 @@ import json
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 
 from .errors import DataError, DomainError, IdentifiabilityError, QuantfuncError
-from .model import Dataset, design_diagnostics, empirical_quantile_process
+from .model import Dataset, _write_csv, design_diagnostics, empirical_quantile_process
 from .ranks import fit_r_estimator
 from .two_step import averaged_two_step_process, centered_process, two_step_quantile
 from . import functionals as fn
@@ -35,6 +36,7 @@ class CliError(QuantfuncError):
 
 _CHUNK = 1 << 16  # bytes per read of the body scan
 _SLICE = 4096     # array values per call of the C encoder
+_HOLE = "\x00"    # a report's stand-in for an array that _dump streams
 # A body with one of these bytes or a non-ASCII one may pad a cell in a way
 # numpy's parser would strip: the ASCII blanks other than a line break, and
 # a quote, which can hide a line break in a cell.  Every other whitespace
@@ -144,56 +146,27 @@ def _raise_input_fault(path: str, columns: list[str]) -> None:
         line = rows.line_num + 2
 
 
-def _write_json(write, value, indent: str = "") -> None:
-    """Write ``json.dumps(value, sort_keys=True, indent=2)``, nested at
-    ``indent``, through ``write`` as it is encoded.
-
-    The indenting encoder is pure Python and slow on long lists, so a 1-D
-    ndarray leaf goes through the C encoder in slices of ``_SLICE`` values,
-    with separators that reproduce the indented layout; no text longer than
-    one slice's is held.  Dictionaries and lists are walked here; every other
-    value goes to ``json.dumps`` (JSON text holds no raw newline, so
-    indenting its lines is safe).
-    """
-    inner = indent + "  "
-    if isinstance(value, np.ndarray):
-        if value.ndim == 1 and value.size:
-            sep = ",\n" + inner
-            write("[\n" + inner)
-            for start in range(0, value.size, _SLICE):
-                if start:
-                    write(sep)
-                write(json.dumps(value[start:start + _SLICE].tolist(),
-                                 separators=(sep, ": "))[1:-1])
-            write("\n" + indent + "]")
-            return
-        value = value.tolist()
-    if isinstance(value, dict) and value:
-        ends, items = "{}", [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
-    elif isinstance(value, list) and value:
-        ends, items = "[]", [("", v) for v in value]
-    else:
-        write(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent))
-        return
-    write(ends[0])
-    sep = "\n" + inner
-    for key, item in items:
-        write(sep + key)
-        _write_json(write, item, inner)
-        sep = ",\n" + inner
-    write("\n" + indent + ends[1])
-
-
 def _dump(payload, path: str | None) -> None:
-    """Write ``payload`` as indented JSON with sorted keys to ``path``, or
-    to stdout when there is none."""
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            _write_json(fh.write, payload)
-            fh.write("\n")
-    else:
-        _write_json(sys.stdout.write, payload)
-        sys.stdout.write("\n")
+    """Write ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline
+    to ``path``, or to stdout when there is none.  The indenting encoder is
+    slow on long lists, so each top-level 1-D ndarray of a dict payload is
+    encoded as ``_HOLE`` and streamed in its place through the C encoder, in
+    the indented layout, ``_SLICE`` values per call."""
+    arrays = []
+    if isinstance(payload, dict):
+        arrays = [payload[k] for k in sorted(payload) if isinstance(payload[k], np.ndarray)]
+        payload = {k: _HOLE if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+    head, *tails = json.dumps(payload, sort_keys=True, indent=2).split(json.dumps(_HOLE))
+    with open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout) as fh:
+        fh.write(head)
+        for values, tail in zip(arrays, tails):
+            sep = "[\n    "
+            for start in range(0, values.size, _SLICE):
+                fh.write(sep + json.dumps(values[start:start + _SLICE].tolist(),
+                                          separators=(",\n    ", ": "))[1:-1])
+                sep = ",\n    "
+            fh.write(("\n  ]" if values.size else "[]") + tail)
+        fh.write("\n")
 
 
 def run_fit(args) -> None:
@@ -250,9 +223,7 @@ def run_functional(args) -> None:
         "process_source": source,
     }
     if args.format == "csv":
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(payload) + "\n")
-            fh.write(",".join(map(str, payload.values())) + "\n")
+        _write_csv(args.output, {k: [v] for k, v in payload.items()})
         return
     _dump(payload, args.output)
 

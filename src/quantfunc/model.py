@@ -24,7 +24,7 @@ from .errors import DataError, DomainError
 # singular (smallest eigenvalue relative to the largest).
 SINGULARITY_RTOL = 1e-10
 
-_CSV_ROWS = 4096  # rows per write of StepQuantileProcess.to_csv
+_CSV_ROWS = 4096  # rows per write of _write_csv
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,7 @@ class StepQuantileProcess:
             raise DataError("process needs a nonempty one-dimensional value vector")
         if not np.all(np.isfinite(v)):
             raise DataError("non-finite process values")
-        if np.any(np.diff(v) < 0):
+        if np.any(v[1:] < v[:-1]):
             raise DataError("process values must be sorted ascending")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -193,13 +193,18 @@ class StepQuantileProcess:
 
     def to_csv(self, path) -> None:
         """Write (alpha_breakpoint, value) rows, one per step, in step order."""
-        bp = self.breakpoints()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("alpha_breakpoint,value\n")
-            for start in range(0, self.n, _CSV_ROWS):
-                rows = zip(bp[start:start + _CSV_ROWS].tolist(),
-                           self.values[start:start + _CSV_ROWS].tolist())
-                fh.write("".join(f"{b!r},{v!r}\n" for b, v in rows))
+        _write_csv(path, {"alpha_breakpoint": self.breakpoints(), "value": self.values})
+
+
+def _write_csv(path, columns: dict) -> None:
+    """Write a CSV file of the header line ``columns``' keys, then one row per
+    index of its values, equal-length lists or 1-D arrays, each value as
+    ``str`` prints it, ``_CSV_ROWS`` rows per write."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, len(next(iter(columns.values()))), _CSV_ROWS):
+            chunk = [np.asarray(c[start:start + _CSV_ROWS]).tolist() for c in columns.values()]
+            fh.write("".join(",".join(map(str, row)) + "\n" for row in zip(*chunk)))
 
 
 def empirical_quantile_process(values) -> StepQuantileProcess:

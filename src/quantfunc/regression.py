@@ -18,7 +18,6 @@ at that bound; otherwise it pivots, or raises :class:`SolverFailure`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ _IPM_STEP = 0.99995     # fraction of the step to the boundary of the box
 _IPM_RTOL = 1e-11       # the interior point stops at this gap, relative to the loss
 _IPM_MAX_ITER = 100
 _VERTEX_RTOL = 1e-9     # a vertex is certified within this of the dual bound
+_EINSUM_BUFFER = 8192   # numpy's einsum buffer: past it a sum depends on the batch
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,9 @@ def _a(x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def _normal_solver(x: np.ndarray, d: np.ndarray, work: np.ndarray | None = None):
     """Solver of ``(1, X_b)' diag(d_b) (1, X_b) u_b = rhs_b`` for each problem b,
-    scaled to a unit diagonal; ``work``, of the shape of d, is scratch.
+    scaled to a unit diagonal, and which problems' matrices have a zero on
+    the diagonal, as when every weight of a problem underflows; the solver
+    is None when there is one.  ``work``, of the shape of d, is scratch.
 
     A matrix singular to working precision, as when the weights of tied data
     pile onto fewer than q distinct rows, gets the least-squares solution.
@@ -148,7 +150,11 @@ def _normal_solver(x: np.ndarray, d: np.ndarray, work: np.ndarray | None = None)
     for j in range(1, q):  # the columns of (1, X)' D X_j from j on
         work = np.multiply(d, x[:, :, j - 1], out=work)
         m[:, j, j:] = m[:, j:, j] = np.einsum("bij,bi->bj", x, work)[:, j - 1:]
-    scale = 1.0 / np.sqrt(m.diagonal(axis1=1, axis2=2))
+    diagonal = m.diagonal(axis1=1, axis2=2)
+    broken = ~diagonal.all(axis=1)
+    if broken.any():
+        return None, broken
+    scale = 1.0 / np.sqrt(diagonal)
     m *= scale[:, :, None] * scale[:, None, :]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -157,7 +163,7 @@ def _normal_solver(x: np.ndarray, d: np.ndarray, work: np.ndarray | None = None)
             return np.linalg.solve(m, rhs)[:, :, 0] * scale
         except np.linalg.LinAlgError:
             return np.array([_solve_or_lstsq(mb, rb) for mb, rb in zip(m, rhs)]) * scale
-    return solve
+    return solve, broken
 
 
 def _solve_or_lstsq(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -222,17 +228,22 @@ def _steps(box, zw, da, dzw, work):
 
 def _predictor_corrector(x, b, gap, state, work):
     """One Mehrotra predictor-corrector step of each problem of a batch, in
-    place on ``state = [a, s, z, w]``, of shape (4, B, n).  ``work``, of shape
-    (5, B, n), holds ``[dz, dw]``, a pair of scratch rows and ``g``, which
-    becomes ``da``.  d lives in the second scratch row while it is read; the
-    corrector computes it again, and g too, instead of keeping rows for
-    them."""
+    place on ``state = [a, s, z, w]``, of shape (4, B, n), or of none when a
+    problem's normal matrix has a zero on its diagonal (see
+    :func:`_normal_solver`).  Returns which problems have one.  ``work``, of
+    shape (5, B, n), holds ``[dz, dw]``, a pair of scratch rows and ``g``,
+    which becomes ``da``.  d lives in the second scratch row while it is
+    read; the corrector computes it again, and g too, instead of keeping rows
+    for them."""
     box, zw = state[:2], state[2:]
     a, s, z, w = state
     dzw, pair, g = work[:2], work[2:4], work[4]
     dz, dw = dzw
     d = _weights(box, zw, pair)
-    solve, rp = _normal_solver(x, d, g), b - _at(x, a)
+    solve, broken = _normal_solver(x, d, g)
+    if broken.any():
+        return broken
+    rp = b - _at(x, a)
     np.subtract(z, w, out=g)
     da = _newton(x, d, solve, rp, g, pair[0])
     _dual(box, zw, da, 0.0, pair, dzw)
@@ -277,6 +288,7 @@ def _predictor_corrector(x, b, gap, state, work):
     dz *= ad[:, None]
     dw *= ad[:, None]
     zw += dzw
+    return broken
 
 
 def _floor(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -310,10 +322,12 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     :func:`_floor`).  The start is the least-squares fit, so an exact fit,
     a zero response among them, stops at once with gap 0.  Each problem has
     its own step lengths, centring and stopping test, and leaves the batch
-    when it stops.  Every operation reads one problem's row alone, so a
-    problem's iterates are the bits it reaches when solved alone, for n up
-    to numpy's 8192-element einsum buffer (a study batch of two or more has
-    n <= ``simulation._BATCH_ELEMENTS`` / 2).
+    when it stops, or with iterations -1 when its normal matrix has a zero on
+    its diagonal (see :func:`_normal_solver`).  At a tiny tau, ``w / s`` may
+    overflow: its weight is then 0, its limit.  Every operation reads one
+    problem's row alone, so a problem's iterates are the bits it reaches when
+    solved alone; past numpy's einsum buffer, where a sum over a row depends
+    on the batch, each problem is solved alone.
 
     y and x are read in place and not copied: a study draws its batch once
     into them.  Besides them the loop holds nine (B, n) float64 arrays, the
@@ -323,12 +337,15 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     and x (tracemalloc, p = 1, n = 100 to 1600).  Returns ``a`` and
     ``w - z``, of shape (B, n), and the iterations, of shape (B,).
     """
+    if y.shape[0] > 1 and y.shape[1] > _EINSUM_BUFFER:
+        alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau) for k in range(y.shape[0])]
+        return tuple(map(np.concatenate, zip(*alone)))
     floor, shape = _floor(y, x), y.shape
     ones = np.ones(shape)
     b = (1.0 - tau) * _at(x, ones)
     state = np.empty((4,) + shape)
     state[0], state[1] = 1.0 - tau, tau
-    r = _a(x, _normal_solver(x, ones)(_at(x, y)), out=state[2])
+    r = _a(x, _normal_solver(x, ones)[0](_at(x, y)), out=state[2])
     np.subtract(y, r, out=r)
     del ones
     shift = np.abs(r, out=state[3]).mean(axis=1)[:, None]
@@ -338,23 +355,26 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     state[3] += shift
     del r, shift
     live, found, work = np.arange(shape[0]), [], np.empty((5,) + shape)
-    for iterations in itertools.count():
-        gap = (np.einsum("bi,bi->b", state[0], state[2])
-               + np.einsum("bi,bi->b", state[1], state[3]))
-        sums = state[2:].sum(axis=2)
-        loss = tau * sums[1] + (1.0 - tau) * sums[0]
-        stop = (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
-        if stop.any():
-            work = None  # freed before the rows that stop are copied out
-            found.append((live[stop], state[0][stop], state[3][stop] - state[2][stop],
-                          iterations))
-            if stop.all():
-                break
-            go = ~stop
-            live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
-            state = np.compress(go, state, axis=1)  # C order, unlike state[:, go]
-            work = np.empty((5,) + state.shape[1:])
-        _predictor_corrector(x, b, gap, state, work)
+    iterations, broken = 0, np.zeros(shape[0], dtype=bool)
+    with np.errstate(over="ignore"):
+        while True:
+            gap = (np.einsum("bi,bi->b", state[0], state[2])
+                   + np.einsum("bi,bi->b", state[1], state[3]))
+            sums = state[2:].sum(axis=2)
+            loss = tau * sums[1] + (1.0 - tau) * sums[0]
+            stop = broken | (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
+            if stop.any():
+                work = None  # freed before the rows that stop are copied out
+                found.append((live[stop], state[0][stop], state[3][stop] - state[2][stop],
+                              np.where(broken[stop], -1, iterations)))
+                if stop.all():
+                    break
+                go = ~stop
+                live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
+                state = np.compress(go, state, axis=1)  # C order, unlike state[:, go]
+                work = np.empty((5,) + state.shape[1:])
+            broken = _predictor_corrector(x, b, gap, state, work)
+            iterations += not broken.any()  # else none stepped, and those leave
     del state, x
     a, r, counts = np.empty(shape), np.empty(shape), np.empty(shape[0], dtype=int)
     for done, a_done, r_done, k in found:
@@ -377,7 +397,7 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     on alone, to :func:`_vertex`.  Each ``(1, X)`` must have full rank.
     Yields, in batch order, the coefficients and the iterations plus pivots
     of each problem, or raises :class:`SolverFailure` at the first problem
-    with no certified vertex.
+    with no certified vertex or whose interior point broke down.
 
     y and x are read in place and not copied, so a study batch is held once.
     After the interior point, the batch holds ``a``, ``w - z``, d and, while
@@ -396,6 +416,9 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     coef = np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0]
     certified = independent & _certify(y, x, tau, d, coef)[3]
     for k in range(batch):
+        if iterations[k] < 0:
+            raise SolverFailure(f"the interior point broke down at level {tau!r}: its "
+                                f"weights underflowed to a zero on the normal diagonal")
         if certified[k]:
             yield coef[k], int(iterations[k])
         else:

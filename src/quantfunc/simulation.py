@@ -23,7 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DomainError
-from .model import Dataset, order_index
+from .model import Dataset, _write_csv, order_index
 from .ranks import _fit_slopes
 from .two_step import averaged_two_step_process, centered_process
 from . import functionals as fn
@@ -53,9 +53,7 @@ COVERAGE_C = 5.0
 #    16384  -27.4 %   +1.12 %
 # 12288 is the largest budget whose every pair stayed within 1 % of the
 # previous peak RSS (at most +0.10 %); 14336 and 15360 each had a pair past
-# 1 % and were no faster.  Keep it at or below 16384, so that a batch of two
-# or more has n <= 8192, where each problem keeps the bits of its lone fit
-# (regression._interior_point).
+# 1 % and were no faster.
 _BATCH_ELEMENTS = 12288
 
 # The view constructor is bound here once: perfbench's tracer replaces the
@@ -205,18 +203,6 @@ class RateReport:
     coverage: tuple[float, ...]
     mean_error: tuple[float, ...] = ()
 
-    def to_rows(self) -> list[dict]:
-        rows = []
-        for i, n in enumerate(self.n_grid):
-            rows.append({
-                "metric": self.metric,
-                "n": n,
-                "rmse": self.rmse[i],
-                "coverage": self.coverage[i],
-                "fitted_slope": self.fitted_slope,
-            })
-        return rows
-
     def to_json(self) -> str:
         return json.dumps({
             "metric": self.metric,
@@ -230,12 +216,13 @@ class RateReport:
 
 def reports_to_csv(reports, path) -> None:
     """One CSV row per (metric, n), deterministic ordering."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric,n,rmse,coverage,fitted_slope\n")
-        for rep in reports:
-            for row in rep.to_rows():
-                fh.write(f"{row['metric']},{row['n']},{row['rmse']!r},"
-                         f"{row['coverage']!r},{row['fitted_slope']!r}\n")
+    _write_csv(path, {
+        "metric": [r.metric for r in reports for _ in r.n_grid],
+        "n": [n for r in reports for n in r.n_grid],
+        "rmse": [v for r in reports for v in r.rmse],
+        "coverage": [v for r in reports for v in r.coverage],
+        "fitted_slope": [r.fitted_slope for r in reports for _ in r.n_grid],
+    })
 
 
 def _substream(seed: int, n: int, replicate: int) -> np.random.Generator:

@@ -106,8 +106,8 @@ def test_each_replicate_is_its_lone_fit_bit_for_bit(config, monkeypatch):
 
 
 def test_two_datasets_at_the_einsum_buffer_size_fit_as_their_lone_fits():
-    # n = 8192 is the largest n at which a batch keeps every bit; a study
-    # batch with B >= 2 has n <= _BATCH_ELEMENTS / 2.
+    # n = 8192 is the largest n solved as one batch; a study batch with
+    # B >= 2 has n <= _BATCH_ELEMENTS / 2, so it is never split.
     assert simulation._BATCH_ELEMENTS // 2 <= 8192
     datasets = [generate(BENCH_CONFIG, 8192, rep)[0] for rep in range(2)]
     assert batch_bits(datasets, 0.5) == [bits(fit_r_estimator(ds, 0.5)) for ds in datasets]
@@ -117,6 +117,16 @@ def interior_points(datasets, tau):
     """The interior point's (a, w - z, iterations) of each dataset, as bytes."""
     return [(a.tobytes(), r.tobytes(), iterations)
             for a, r, iterations in zip(*regression._interior_point(*stacked(datasets), tau))]
+
+
+@pytest.mark.parametrize("n,p", [(8192, 1), (8193, 1), (20000, 2)])
+def test_a_batch_past_the_einsum_buffer_keeps_each_lone_solve(n, p):
+    # Past numpy's 8192-element einsum buffer a sum over a row depends on
+    # the batch, so such a batch is solved one problem at a time.
+    rng = np.random.default_rng(n)
+    datasets = [continuous_set(rng, n, p) for _ in range(3)]
+    alone = [point for ds in datasets for point in interior_points([ds], 0.5)]
+    assert interior_points(datasets, 0.5) == alone
 
 
 @pytest.mark.parametrize("size", [5, 40])

@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 import quantfunc.regression as regression
 from quantfunc import (Dataset, SolverFailure, fit_r_estimator, fit_regression_quantile,
                        jaeckel_dispersion)
-from quantfunc.cli import main
+from quantfunc.cli import main, read_csv_dataset
 from quantfunc.regression import _certified_vertices
 
 RTOL = 1e-12
@@ -268,3 +268,37 @@ def test_fits_are_bitwise_equal_across_blas_thread_counts():
                              capture_output=True, text=True, check=True)
         digests.add(out.stdout.strip())
     assert len(digests) == 1
+
+
+N200 = os.path.join(os.path.dirname(__file__), "fixtures", "n200.csv")
+CLI = "import sys; from quantfunc.cli import main; sys.exit(main())"
+
+
+@pytest.mark.parametrize("lam", ["1e-150", "1e-160", "1e-200", "1e-300", "5e-324"])
+def test_a_tiny_level_fits_or_fails_in_one_line(lam):
+    # w / s overflows to a weight of 0 at such levels; once every weight of
+    # the problem is 0 its normal matrix has a zero diagonal.
+    for command in (["fit"], ["functional", "--functional", "cvar", "--level", "0.5"]):
+        proc = subprocess.run([sys.executable, "-c", CLI, "--command", *command,
+                               "--input", N200, "--response", "y", "--covariates", "x1,x2",
+                               "--lambda", lam], capture_output=True, text=True)
+        if lam == "1e-150" or proc.returncode == 0:
+            assert (proc.returncode, proc.stderr) == (0, "")
+        else:
+            assert proc.returncode == 3
+            assert proc.stderr.startswith("error:solver: ") and proc.stderr.count("\n") == 1
+            assert "nan" not in proc.stderr and f"level {float(lam)!r}" in proc.stderr
+
+
+def test_a_broken_down_problem_fails_in_batch_order():
+    # A zero response is fitted at once; the n200 set at the same tiny level
+    # breaks down, and only after the first problem is yielded is it raised.
+    ds = read_csv_dataset(N200, "y", ["x1", "x2"])
+    ys, xs = np.stack([np.zeros(ds.n), ds.y]), np.stack([ds.x, ds.x])
+    with np.errstate(all="raise"):
+        assert regression._interior_point(ys, xs, 1e-200)[2].tolist() == [0, -1]
+        fits = _certified_vertices(ys, xs, 1e-200)
+        coef, iterations = next(fits)
+        assert (coef.tolist(), iterations) == ([0.0, 0.0, 0.0], 0)
+        with pytest.raises(SolverFailure, match="broke down at level 1e-200"):
+            next(fits)

@@ -79,6 +79,16 @@ class TestFit:
         assert lines[0] == "alpha_breakpoint,value"
         assert len(lines) == 6
 
+    def test_csv_report_bytes(self, tmp_path):
+        # The golden JSON report's process, one (k / n, value) row per step.
+        out = tmp_path / "proc.csv"
+        assert main(["--command", "fit", "--input", fx("n200.csv"), "--response", "y",
+                     "--covariates", "x1,x2", "--format", "csv", "--output", str(out)]) == 0
+        process = json.load(open(fx("n200_fit_golden.json")))["averaged_process"]
+        want = "alpha_breakpoint,value\n" + "".join(
+            f"{k / len(process)!r},{v!r}\n" for k, v in enumerate(process, 1))
+        assert out.read_bytes() == want.encode()
+
 
 def plain(v):
     """``v`` with every ndarray made a list, as ``json.dumps`` takes it."""
@@ -95,20 +105,22 @@ SPECIAL = np.array([-0.0, float("nan"), 5e-324, 0.1, -2.5e-300])
 
 
 class TestReportText:
-    """The streamed report writer gives the bytes of the indenting encoder."""
+    """The streamed report writer gives the bytes of the indenting encoder for
+    the payloads the reports pass: a dict with top-level arrays among its
+    other values (fit), a list of dicts (simulate) and a dict of scalars
+    (functional)."""
 
     @pytest.mark.parametrize("payload", [
-        {"b": np.array([0.1, -2.5e-300, float("nan"), float("inf"), 3.0]),
-         "a": {"deep": np.array([1.0]), "empty": np.array([]),
-               "grid": np.arange(4.0).reshape(2, 2), "list": [1, [2, {"z": None}]]},
-         "c": [], "d": {}, "e": "\u00e9\n\"", "f": np.float64(0.3), "g": True},
-        [{"x": np.array([1.5, 2.5])}, {"y": 1}, []],
-        np.array([7.0, 8.0]),
+        # Arrays about the encoder's slice length, between other values.
+        pytest.param({"a": 0.5, "m": {"suspect": True, "leverage": None}, "s": [0.1, -0.0],
+                      "z": "\u00e9\n\"", **{f"len {n}": np.resize(SPECIAL, n) for n in
+                      (0, 1, cli._SLICE - 1, cli._SLICE, cli._SLICE + 1, 2 * cli._SLICE + 1)}},
+                     id="arrays_about_the_slice_length"),
+        pytest.param([{"metric": "two_step_rmse", "n_grid": [30, 60], "rmse": [0.1, 5e-324],
+                       "fitted_slope": -0.5}, {"mean_error": []}], id="list_of_dicts"),
+        pytest.param({"kind": "cvar", "level": 0.9, "value": -2.5e-300, "n": 200,
+                      "lambda": 0.5, "process_source": "centered_two_step"}, id="scalars"),
         "plain",
-        # Arrays about the encoder's slice length.
-        {f"len {n}": np.resize(SPECIAL, n) for n in
-         (0, 1, cli._SLICE - 1, cli._SLICE, cli._SLICE + 1, 2 * cli._SLICE + 1)},
-        [np.resize(SPECIAL[::-1], cli._SLICE + 1), {"inner": [np.resize(SPECIAL, 3)]}],
     ])
     def test_equal_to_json_dumps(self, tmp_path, capsys, payload):
         want = json.dumps(plain(payload), sort_keys=True, indent=2) + "\n"
@@ -237,6 +249,21 @@ class TestFunctional:
         assert (code, out) == (2, "")
         assert err.startswith("error:domain: mean_excess at level") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("functional,level", [("cvar", "0.9"), ("mean_excess", "-0.25")])
+    def test_csv_report_bytes(self, tmp_path, capsys, functional, level):
+        args = ["--command", "functional", "--input", fx("n200.csv"), "--response", "y",
+                "--covariates", "x1,x2", "--functional", functional, "--level", level,
+                "--lambda", "0.375"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        r = json.loads(out)
+        path = tmp_path / "functional.csv"
+        assert main(args + ["--format", "csv", "--output", str(path)]) == 0
+        assert path.read_bytes() == (
+            "kind,level,value,n,lambda,process_source\n"
+            f"{r['kind']},{r['level']!r},{r['value']!r},{r['n']},{r['lambda']!r},"
+            f"{r['process_source']}\n").encode()
+
     def test_negative_values_lorenz_error(self, tmp_path, capsys):
         path = tmp_path / "neg.csv"
         path.write_text("y\n-1.0\n2.0\n3.0\n")
@@ -289,6 +316,22 @@ class TestSimulate:
         code, out2, _ = run(capsys, "--command", "simulate", "--config", str(cfg),
                             "--seed", "77")
         assert out1 != out2
+
+    @pytest.mark.parametrize("study", ["two_step_rate", "r_estimator_rate"])
+    def test_csv_report_bytes(self, tmp_path, capsys, study):
+        cfg = self.write_config(tmp_path, study=study, n_grid=[30, 60, 90],
+                                alphas=[0.25, 0.5, 0.75])
+        code, out, _ = run(capsys, "--command", "simulate", "--config", str(cfg))
+        assert code == 0
+        want = "metric,n,rmse,coverage,fitted_slope\n" + "".join(
+            f"{r['metric']},{n},{rmse!r},{coverage!r},{r['fitted_slope']!r}\n"
+            for r in json.loads(out)
+            for n, rmse, coverage in zip(r["n_grid"], r["rmse"], r["coverage"]))
+        assert want.count("\n") == (7 if study == "two_step_rate" else 4)
+        path = tmp_path / "report.csv"
+        assert main(["--command", "simulate", "--config", str(cfg), "--format", "csv",
+                     "--output", str(path)]) == 0
+        assert path.read_bytes() == want.encode()
 
     def test_invalid_config_all_problems_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

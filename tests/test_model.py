@@ -1,4 +1,5 @@
 import os
+import warnings
 from decimal import ROUND_CEILING, Decimal
 
 import numpy as np
@@ -10,8 +11,8 @@ import quantfunc.cli as cli
 import quantfunc.model as model
 import quantfunc.ranks as ranks
 from quantfunc import (Dataset, DataError, DomainError, ErrorDistribution,
-                       IdentifiabilityError, SimulationConfig, design_diagnostics,
-                       empirical_quantile_process, fit_r_estimator,
+                       IdentifiabilityError, SimulationConfig, StepQuantileProcess,
+                       design_diagnostics, empirical_quantile_process, fit_r_estimator,
                        functional_consistency_study, order_index,
                        rate_study_r_estimator, rate_study_two_step)
 from quantfunc.model import check_loss_vec
@@ -109,6 +110,17 @@ class TestEmpiricalQuantileProcess:
     def test_breakpoint_count(self):
         proc = empirical_quantile_process(np.arange(7.0))
         assert len(proc.breakpoints()) == 7
+
+
+class TestStepQuantileProcess:
+    def test_order_check_does_not_overflow(self):
+        # Finite and sorted, though the difference of the two overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            proc = StepQuantileProcess(values=[-1.7e308, 1.7e308])
+            assert proc.values.tolist() == [-1.7e308, 1.7e308]
+            with pytest.raises(DataError, match="sorted"):
+                StepQuantileProcess(values=[1.7e308, -1.7e308])
 
 
 class TestDataset:
