@@ -17,6 +17,9 @@ strings:
   -0.0, +0.0 and ties, with that response's two-step intercepts;
 - the simplex vertex and the regression-quantile coefficients at n = 400,
   p = 2, and on tied data;
+- at the edge levels, on one n = 100, p = 2 dataset: R-fits at lambda =
+  1e-16, 1e-200 and 1 - 1e-16, and regression quantiles at alpha = 1e-12
+  and 1 - 1e-16;
 - the ``to_json()`` text of the three simulation studies on the
   configuration of perfbench's ``monte_carlo`` workload at seeds 0-2, on
   ``MC_CONFIG`` of the acceptance criteria 6-8, on a p = 3
@@ -25,11 +28,11 @@ strings:
   two-step rate and CVaR consistency studies of a p = 0 ``iid_normal``
   design.
 
-Prints one line per differing case and a summary that counts the
-differing cases of each kind; exits 1 on any difference.  A differing
-``lp`` case also says whether the simplex's own vertex is unchanged and
-whether the new objective is at most the old one.  Takes about 25
-seconds.
+A fit that raises a ``QuantfuncError`` is recorded as its text.  Prints
+one line per differing case and a summary that counts the differing cases
+of each kind; exits 1 on any difference.  A differing regression quantile
+also says whether the simplex's own vertex is unchanged and whether the new
+objective is at most the old one.  Takes about 25 seconds.
 """
 
 from __future__ import annotations
@@ -53,10 +56,13 @@ def emit() -> dict:
     out = {}
 
     def r_fit(name, ds, lam):
-        est = qf.fit_r_estimator(ds, lam)
+        try:
+            est = qf.fit_r_estimator(ds, lam)
+        except qf.QuantfuncError as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+            return
         out[name] = {"slopes": _hex(est.beta_tilde), "dispersion": _hex([est.dispersion]),
                      "iterations": est.iterations}
-        return est.beta_tilde
 
     def process(name, proc):
         out[name] = {"values": _hex(proc.values),
@@ -93,10 +99,7 @@ def emit() -> dict:
         lam = (0.25, 0.37, 0.5, 0.9)[s % 4]
         r_fit(f"random s={s}", qf.Dataset(y=y, x=x), lam)
         tied = qf.Dataset(y=np.round(2.0 * y) / 2.0, x=np.round(4.0 * x) / 4.0)
-        try:
-            r_fit(f"tied s={s}", tied, lam)
-        except qf.QuantfuncError as exc:
-            out[f"tied s={s}"] = f"{type(exc).__name__}: {exc}"
+        r_fit(f"tied s={s}", tied, lam)
         for t, b in enumerate(rng.choice([-1.0, 0.0, 0.5, 1.0], size=(4, p))):
             d = qf.jaeckel_dispersion(b, tied, lam)
             residuals = tied.y - tied.x @ b
@@ -111,6 +114,15 @@ def emit() -> dict:
         vertices.append(x.copy())
         return x, red
 
+    def lp_fit(name, ds, alpha):
+        try:
+            fit = qf.fit_regression_quantile(ds, alpha)
+        except qf.QuantfuncError as exc:
+            out[name] = f"{type(exc).__name__}: {exc}"
+            return
+        out[name] = {"vertex": _hex(vertices[-1]), "coef": _hex([fit.beta0_hat, *fit.beta_hat]),
+                     "objective": _hex([fit.objective]), "n_active": fit.n_active}
+
     regression.solve_simplex = recording
     rng = np.random.default_rng(3)
     x = rng.uniform(size=(400, 2))
@@ -119,10 +131,14 @@ def emit() -> dict:
     lp_sets["lp tied"] = qf.Dataset(y=rng.integers(0, 4, size=60).astype(float), x=x)
     for name, ds in lp_sets.items():
         for a in (0.25, 0.5, 0.75):
-            fit = qf.fit_regression_quantile(ds, a)
-            out[f"{name} alpha={a}"] = {
-                "vertex": _hex(vertices[-1]), "coef": _hex([fit.beta0_hat, *fit.beta_hat]),
-                "objective": _hex([fit.objective]), "n_active": fit.n_active}
+            lp_fit(f"{name} alpha={a}", ds, a)
+    rng = np.random.default_rng(6)
+    x = rng.uniform(size=(100, 2))
+    edge = qf.Dataset(y=1.0 + x.sum(axis=1) + rng.standard_normal(100), x=x)
+    for lam in (1e-16, 1e-200, 1.0 - 1e-16):
+        r_fit(f"edge R-fit lambda={lam!r}", edge, lam)
+    for a in (1e-12, 1.0 - 1e-16):
+        lp_fit(f"edge lp alpha={a!r}", edge, a)
 
     import quantfunc.simulation as sim
     base = dict(n_grid=(100, 400, 1600), p=1, beta0=1.0, beta=(2.0,), design="equispaced",
@@ -171,7 +187,7 @@ def main(argv: list[str]) -> int:
     differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     for key in differ:
         print(f"DIFFERS {key}: {old.get(key)} != {new.get(key)}")
-        if key.startswith("lp ") and key in old and key in new:
+        if all(isinstance(v.get(key), dict) and "vertex" in v[key] for v in (old, new)):
             before, after = (float.fromhex(v[key]["objective"][0]) for v in (old, new))
             print(f"  vertex unchanged: {old[key]['vertex'] == new[key]['vertex']}; "
                   f"objective {before!r} -> {after!r}, not higher: {after <= before}")

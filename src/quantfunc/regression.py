@@ -18,6 +18,7 @@ at that bound; otherwise it pivots, or raises :class:`SolverFailure`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,15 +57,24 @@ def _augmented(x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.ones(x.shape[:-1] + (1,)), x), axis=-1)
 
 
+def _level(tau: float, n: int) -> float:
+    """tau moved into [1/(2n), 1 - 1/(2n)], where n observations' LP is solved.
+    Below 1/n the check loss at the best intercept is ``tau sum (r_i - min r)``
+    and above 1 - 1/n ``(1 - tau) sum (max r - r_i)``, so one solve serves all
+    such levels; solved as written, a tiny level's loss is below the rounding
+    floor of its certificate, and any vertex certifies."""
+    return min(max(tau, 0.5 / n), 1.0 - 0.5 / n)
+
+
 def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
     """Global minimizer of the check-loss objective over intercept and slopes.
 
     Raises :class:`IdentifiabilityError` when the augmented design (1, X) is
     rank deficient.  With non-unique optima the deterministic pivoting rule
-    selects a reproducible vertex.  The simplex's row duals
-    ``alpha - red[u_i]`` certify it through :func:`_vertex`, which solves it
-    from the raw data; :class:`SolverFailure` is raised when no vertex is
-    certified.
+    selects a reproducible vertex.  The LP is solved at :func:`_level`, and
+    its row duals ``level - red[u_i]`` certify the vertex through
+    :func:`_vertex`, which solves it from the raw data; :class:`SolverFailure`
+    is raised when no vertex is certified.  ``objective`` is at alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
@@ -81,7 +91,8 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
     rows = np.arange(n)
     amat[rows, 2 * q + rows] = 1.0
     amat[rows, 2 * q + n + rows] = -1.0
-    c = np.concatenate([np.zeros(2 * q), np.full(n, alpha), np.full(n, 1.0 - alpha)])
+    level = _level(alpha, n)
+    c = np.concatenate([np.zeros(2 * q), np.full(n, level), np.full(n, 1.0 - level)])
 
     b = ds.y.copy()
     basis = []
@@ -95,9 +106,9 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
 
     x, red = solve_simplex(c, amat, b, basis)
     coef = x[:q] - x[q:2 * q]
-    d = np.clip(alpha - red[2 * q:2 * q + n], alpha - 1.0, alpha)
-    a = d + (1.0 - alpha)
-    coef, _ = _vertex(ds.y, ds.x, alpha, a, d, _order(a, ds.y - a_design @ coef), None, 0)
+    d = np.clip(level - red[2 * q:2 * q + n], level - 1.0, level)
+    a = d + (1.0 - level)
+    coef, _ = _vertex(ds.y, ds.x, level, a, d, _order(a, ds.y - a_design @ coef), None, 0)
     residuals = ds.y - a_design @ coef
     objective = float(np.sum(check_loss_vec(residuals, alpha)))
     scale = float(np.max(np.abs(residuals))) if n else 1.0
@@ -135,9 +146,7 @@ def _a(x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def _normal_solver(x: np.ndarray, d: np.ndarray, work: np.ndarray | None = None):
     """Solver of ``(1, X_b)' diag(d_b) (1, X_b) u_b = rhs_b`` for each problem b,
-    scaled to a unit diagonal, and which problems' matrices have a zero on
-    the diagonal, as when every weight of a problem underflows; the solver
-    is None when there is one.  ``work``, of the shape of d, is scratch.
+    scaled to a unit diagonal; ``work``, of the shape of d, is scratch.
 
     A matrix singular to working precision, as when the weights of tied data
     pile onto fewer than q distinct rows, gets the least-squares solution.
@@ -150,11 +159,7 @@ def _normal_solver(x: np.ndarray, d: np.ndarray, work: np.ndarray | None = None)
     for j in range(1, q):  # the columns of (1, X)' D X_j from j on
         work = np.multiply(d, x[:, :, j - 1], out=work)
         m[:, j, j:] = m[:, j:, j] = np.einsum("bij,bi->bj", x, work)[:, j - 1:]
-    diagonal = m.diagonal(axis1=1, axis2=2)
-    broken = ~diagonal.all(axis=1)
-    if broken.any():
-        return None, broken
-    scale = 1.0 / np.sqrt(diagonal)
+    scale = 1.0 / np.sqrt(m.diagonal(axis1=1, axis2=2))
     m *= scale[:, :, None] * scale[:, None, :]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -163,7 +168,7 @@ def _normal_solver(x: np.ndarray, d: np.ndarray, work: np.ndarray | None = None)
             return np.linalg.solve(m, rhs)[:, :, 0] * scale
         except np.linalg.LinAlgError:
             return np.array([_solve_or_lstsq(mb, rb) for mb, rb in zip(m, rhs)]) * scale
-    return solve, broken
+    return solve
 
 
 def _solve_or_lstsq(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -228,22 +233,17 @@ def _steps(box, zw, da, dzw, work):
 
 def _predictor_corrector(x, b, gap, state, work):
     """One Mehrotra predictor-corrector step of each problem of a batch, in
-    place on ``state = [a, s, z, w]``, of shape (4, B, n), or of none when a
-    problem's normal matrix has a zero on its diagonal (see
-    :func:`_normal_solver`).  Returns which problems have one.  ``work``, of
-    shape (5, B, n), holds ``[dz, dw]``, a pair of scratch rows and ``g``,
-    which becomes ``da``.  d lives in the second scratch row while it is
-    read; the corrector computes it again, and g too, instead of keeping rows
-    for them."""
+    place on ``state = [a, s, z, w]``, of shape (4, B, n).  ``work``, of shape
+    (5, B, n), holds ``[dz, dw]``, a pair of scratch rows and ``g``, which
+    becomes ``da``.  d lives in the second scratch row while it is read; the
+    corrector computes it again, and g too, instead of keeping rows for
+    them."""
     box, zw = state[:2], state[2:]
     a, s, z, w = state
     dzw, pair, g = work[:2], work[2:4], work[4]
     dz, dw = dzw
     d = _weights(box, zw, pair)
-    solve, broken = _normal_solver(x, d, g)
-    if broken.any():
-        return broken
-    rp = b - _at(x, a)
+    solve, rp = _normal_solver(x, d, g), b - _at(x, a)
     np.subtract(z, w, out=g)
     da = _newton(x, d, solve, rp, g, pair[0])
     _dual(box, zw, da, 0.0, pair, dzw)
@@ -288,7 +288,6 @@ def _predictor_corrector(x, b, gap, state, work):
     dz *= ad[:, None]
     dw *= ad[:, None]
     zw += dzw
-    return broken
 
 
 def _floor(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -304,7 +303,7 @@ def _certify(y: np.ndarray, x: np.ndarray, tau: float, d: np.ndarray, coef: np.n
     ``|y| + |(1, X)| |b|``, which bounds the rounding of r."""
     r = y - _a(x, coef)
     loss = check_loss_vec(r, tau).sum(axis=1)
-    gap = loss - np.einsum("bi,bi->b", d, r)
+    gap = loss - (d * r).sum(axis=1)
     floor = _floor(np.abs(y) + _a(np.abs(x), np.abs(coef)), x)
     return r, loss, gap, gap <= _VERTEX_RTOL * loss + floor
 
@@ -322,9 +321,8 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     :func:`_floor`).  The start is the least-squares fit, so an exact fit,
     a zero response among them, stops at once with gap 0.  Each problem has
     its own step lengths, centring and stopping test, and leaves the batch
-    when it stops, or with iterations -1 when its normal matrix has a zero on
-    its diagonal (see :func:`_normal_solver`).  At a tiny tau, ``w / s`` may
-    overflow: its weight is then 0, its limit.  Every operation reads one
+    when it stops.  With a |y| near the top of the float range, ``w / s``
+    may overflow: its weight is then 0, its limit.  Every operation reads one
     problem's row alone, so a problem's iterates are the bits it reaches when
     solved alone; past numpy's einsum buffer, where a sum over a row depends
     on the batch, each problem is solved alone.
@@ -345,7 +343,7 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     b = (1.0 - tau) * _at(x, ones)
     state = np.empty((4,) + shape)
     state[0], state[1] = 1.0 - tau, tau
-    r = _a(x, _normal_solver(x, ones)[0](_at(x, y)), out=state[2])
+    r = _a(x, _normal_solver(x, ones)(_at(x, y)), out=state[2])
     np.subtract(y, r, out=r)
     del ones
     shift = np.abs(r, out=state[3]).mean(axis=1)[:, None]
@@ -355,26 +353,24 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     state[3] += shift
     del r, shift
     live, found, work = np.arange(shape[0]), [], np.empty((5,) + shape)
-    iterations, broken = 0, np.zeros(shape[0], dtype=bool)
     with np.errstate(over="ignore"):
-        while True:
+        for iterations in itertools.count():
             gap = (np.einsum("bi,bi->b", state[0], state[2])
                    + np.einsum("bi,bi->b", state[1], state[3]))
             sums = state[2:].sum(axis=2)
             loss = tau * sums[1] + (1.0 - tau) * sums[0]
-            stop = broken | (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
+            stop = (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
             if stop.any():
                 work = None  # freed before the rows that stop are copied out
                 found.append((live[stop], state[0][stop], state[3][stop] - state[2][stop],
-                              np.where(broken[stop], -1, iterations)))
+                              iterations))
                 if stop.all():
                     break
                 go = ~stop
                 live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
                 state = np.compress(go, state, axis=1)  # C order, unlike state[:, go]
                 work = np.empty((5,) + state.shape[1:])
-            broken = _predictor_corrector(x, b, gap, state, work)
-            iterations += not broken.any()  # else none stepped, and those leave
+            _predictor_corrector(x, b, gap, state, work)
     del state, x
     a, r, counts = np.empty(shape), np.empty(shape), np.empty(shape[0], dtype=int)
     for done, a_done, r_done, k in found:
@@ -390,14 +386,14 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     A vertex interpolates q independent observations ranked by how far the
     interior point's ``a_i`` lie from {0, 1}, then by ``|residual|``, then by
     index.  It is certified by :func:`_certify` against the dual bound
-    ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``.  The batch ranks every
-    problem's observations, tests the rank of its q lead rows and solves,
-    prices and certifies its first vertex in stacked calls.  Only a problem
-    whose lead rows are dependent or whose first vertex is not certified goes
-    on alone, to :func:`_vertex`.  Each ``(1, X)`` must have full rank.
-    Yields, in batch order, the coefficients and the iterations plus pivots
-    of each problem, or raises :class:`SolverFailure` at the first problem
-    with no certified vertex or whose interior point broke down.
+    ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``, all at tau's :func:`_level`.
+    The batch ranks every problem's observations, tests the rank of its q
+    lead rows and solves, prices and certifies its first vertex in stacked
+    calls.  Only a problem whose lead rows are dependent or whose first
+    vertex is not certified goes on alone, to :func:`_vertex`.  Each
+    ``(1, X)`` must have full rank.  Yields, in batch order, the
+    coefficients and the iterations plus pivots of each problem, or raises
+    :class:`SolverFailure` at the first problem with no certified vertex.
 
     y and x are read in place and not copied, so a study batch is held once.
     After the interior point, the batch holds ``a``, ``w - z``, d and, while
@@ -406,7 +402,7 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     beyond y and x at the peak, below the interior point's for p <= 3
     (tracemalloc).
     """
-    batch, q = y.shape[0], x.shape[2] + 1
+    batch, q, tau = y.shape[0], x.shape[2] + 1, _level(tau, y.shape[1])
     a, r_ipm, iterations = _interior_point(y, x, tau)
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
     rows, lead = np.arange(batch)[:, None], _lead(a, r_ipm, q)
@@ -416,9 +412,6 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     coef = np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0]
     certified = independent & _certify(y, x, tau, d, coef)[3]
     for k in range(batch):
-        if iterations[k] < 0:
-            raise SolverFailure(f"the interior point broke down at level {tau!r}: its "
-                                f"weights underflowed to a zero on the normal diagonal")
         if certified[k]:
             yield coef[k], int(iterations[k])
         else:
@@ -468,6 +461,9 @@ def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarr
                 basis.append(int(i))
                 if len(basis) == q:
                     break
+        else:  # V_n may be regular while its rows are not, to working precision
+            raise SolverFailure(f"no vertex: only {len(basis)} of the {q} rows (1, x_i) a "
+                                f"vertex needs are independent to working precision")
     for pivots in range(y.shape[0] + 1):
         sub = _augmented(x[basis])
         try:

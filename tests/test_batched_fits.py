@@ -129,6 +129,22 @@ def test_a_batch_past_the_einsum_buffer_keeps_each_lone_solve(n, p):
     assert interior_points(datasets, 0.5) == alone
 
 
+@pytest.mark.parametrize("n,p", [(8193, 1), (20000, 2)])
+def test_a_batch_past_the_einsum_buffer_prices_each_vertex_as_alone(n, p):
+    # The certificate's dual bound d'r of each first vertex is one problem's
+    # row sum, the same bits in a batch as alone.
+    rng = np.random.default_rng(n)
+    y, x = stacked([continuous_set(rng, n, p) for _ in range(3)])
+    a, r, _ = regression._interior_point(y, x, 0.5)
+    d = np.clip(a, 0.0, 1.0) - 0.5
+    rows, lead = np.arange(3)[:, None], regression._lead(a, r, p + 1)
+    coef = np.linalg.solve(regression._augmented(x[rows, lead]), y[rows, lead][:, :, None])[..., 0]
+    batch = regression._certify(y, x, 0.5, d, coef)
+    alone = [regression._certify(y[k:k + 1], x[k:k + 1], 0.5, d[k:k + 1], coef[k:k + 1])
+             for k in range(3)]
+    assert [v.tobytes() for v in batch] == [np.concatenate(v).tobytes() for v in zip(*alone)]
+
+
 @pytest.mark.parametrize("size", [5, 40])
 def test_interior_point_iterates_do_not_depend_on_the_batch(size):
     datasets = [generate(BENCH_CONFIG, 100, rep)[0] for rep in range(40)]

@@ -23,7 +23,7 @@ from scipy.optimize import linprog
 import quantfunc.regression as regression
 from quantfunc import (Dataset, SolverFailure, fit_r_estimator, fit_regression_quantile,
                        jaeckel_dispersion)
-from quantfunc.cli import main, read_csv_dataset
+from quantfunc.cli import main
 from quantfunc.regression import _certified_vertices
 
 RTOL = 1e-12
@@ -192,12 +192,29 @@ def test_exact_fit_with_a_large_intercept_is_certified(tmp_path, capsys):
 
 @pytest.mark.parametrize("lam", [1e-10, 1e-8])
 def test_tiny_levels_reach_the_optimum(lam):
-    # d = clip(a) - (1 - lam) holds a weight of lam only to about 1e-16, so
-    # an optimal vertex's dual gap is at the rounding of its residuals.
+    # Both levels lie below 1/n, so the fit solves at 1/(2n); HiGHS, at the
+    # caller's level, checks that the vertex found there is optimal at lam.
     for seed in range(200):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((100, 1))
         assert_optimal_vertex(rng.standard_cauchy(100), x, lam)
+
+
+def test_rows_dependent_to_working_precision_fail_in_one_line(tmp_path, capsys):
+    # Nanosecond timestamps over a year: V_n is regular, but every pair of
+    # rows (1, t_i) is dependent to working precision, so no vertex is found.
+    rng = np.random.default_rng(0)
+    t = (1.7e18 + rng.uniform(0.0, 3.15e16, 200)).tolist()
+    path = tmp_path / "stamps.csv"
+    path.write_text("y,t\n" + "".join(f"{v!r},{s!r}\n"
+                                      for v, s in zip(rng.standard_normal(200).tolist(), t)))
+    for command in (["fit"], ["functional", "--functional", "cvar", "--level", "0.5"]):
+        code = main(["--command", *command, "--input", str(path), "--response", "y",
+                     "--covariates", "t"])
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("error:solver: no vertex: ") and "nan" not in err
+        assert "independent to working precision" in err
 
 
 def test_copies_of_basis_rows_fit_the_exact_plane(tmp_path, capsys):
@@ -271,34 +288,25 @@ def test_fits_are_bitwise_equal_across_blas_thread_counts():
 
 
 N200 = os.path.join(os.path.dirname(__file__), "fixtures", "n200.csv")
-CLI = "import sys; from quantfunc.cli import main; sys.exit(main())"
 
 
-@pytest.mark.parametrize("lam", ["1e-150", "1e-160", "1e-200", "1e-300", "5e-324"])
-def test_a_tiny_level_fits_or_fails_in_one_line(lam):
-    # w / s overflows to a weight of 0 at such levels; once every weight of
-    # the problem is 0 its normal matrix has a zero diagonal.
+def cli_report(capsys, command, lam):
+    code = main(["--command", *command, "--input", N200, "--response", "y",
+                 "--covariates", "x1,x2", "--lambda", lam])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    return report.pop("lambda"), report.pop("dispersion", None), report
+
+
+@pytest.mark.parametrize("lam", ["1e-16", "1e-150", "1e-160", "1e-200", "1e-300", "5e-324",
+                                 "0.9999", "0.9999999999999999"])
+def test_a_tiny_level_fits_or_fails_in_one_line(capsys, lam):
+    # Within 1/n of 0 or 1 every level has the minimizers of 1/(2n) or
+    # 1 - 1/(2n), so n200 reports the slopes of 0.004 or 0.996, both inside
+    # [1/(2n), 1 - 1/(2n)]; only the level and the dispersion differ.
+    inside = "0.004" if float(lam) < 0.5 else "0.996"
     for command in (["fit"], ["functional", "--functional", "cvar", "--level", "0.5"]):
-        proc = subprocess.run([sys.executable, "-c", CLI, "--command", *command,
-                               "--input", N200, "--response", "y", "--covariates", "x1,x2",
-                               "--lambda", lam], capture_output=True, text=True)
-        if lam == "1e-150" or proc.returncode == 0:
-            assert (proc.returncode, proc.stderr) == (0, "")
-        else:
-            assert proc.returncode == 3
-            assert proc.stderr.startswith("error:solver: ") and proc.stderr.count("\n") == 1
-            assert "nan" not in proc.stderr and f"level {float(lam)!r}" in proc.stderr
-
-
-def test_a_broken_down_problem_fails_in_batch_order():
-    # A zero response is fitted at once; the n200 set at the same tiny level
-    # breaks down, and only after the first problem is yielded is it raised.
-    ds = read_csv_dataset(N200, "y", ["x1", "x2"])
-    ys, xs = np.stack([np.zeros(ds.n), ds.y]), np.stack([ds.x, ds.x])
-    with np.errstate(all="raise"):
-        assert regression._interior_point(ys, xs, 1e-200)[2].tolist() == [0, -1]
-        fits = _certified_vertices(ys, xs, 1e-200)
-        coef, iterations = next(fits)
-        assert (coef.tolist(), iterations) == ([0.0, 0.0, 0.0], 0)
-        with pytest.raises(SolverFailure, match="broke down at level 1e-200"):
-            next(fits)
+        got, want = cli_report(capsys, command, lam), cli_report(capsys, command, inside)
+        assert got[0] == float(lam)
+        assert got[2] == want[2]

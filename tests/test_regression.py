@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from quantfunc import (Dataset, DomainError, IdentifiabilityError,
                        averaged_regression_quantile, empirical_quantile_process,
                        fit_regression_quantile)
+from quantfunc.cli import read_csv_dataset
 from quantfunc.regression import RESIDUAL_ZERO_TOL
 from test_acceptance import check_loss_objective
+
+N200 = os.path.join(os.path.dirname(__file__), "fixtures", "n200.csv")
 
 
 def directional_derivative(ds, alpha, beta0, beta, direction):
@@ -124,6 +128,19 @@ class TestFitRegressionQuantile:
         assert fit.beta0_hat == 0.0
         assert fit.beta_hat.tolist() == [0.5, 0.0]
         assert fit.objective == 20.125
+
+    @pytest.mark.parametrize("alpha, inside", [(1e-12, 0.008), (1e-40, 0.008),
+                                               (1.0 - 1e-16, 0.992)])
+    def test_a_level_within_1_over_n_of_0_or_1_fits_as_one_inside(self, alpha, inside):
+        # Below 1/n every level has the minimizers of 1/(2n), and above
+        # 1 - 1/n those of 1 - 1/(2n), so each is solved there.
+        ds = read_csv_dataset(N200, "y", ["x1", "x2"])
+        ds = Dataset(y=ds.y[:100], x=ds.x[:100])
+        fit, want = fit_regression_quantile(ds, alpha), fit_regression_quantile(ds, inside)
+        assert fit.alpha == alpha
+        assert [fit.beta0_hat, *fit.beta_hat] == [want.beta0_hat, *want.beta_hat]
+        assert fit.objective == pytest.approx(
+            check_loss_objective(ds, alpha, fit.beta0_hat, fit.beta_hat), rel=1e-12)
 
     def test_holds_one_tableau(self):
         # The simplex pivots on the constraint matrix in place: the traced
