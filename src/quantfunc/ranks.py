@@ -1,12 +1,11 @@
-"""Rank scores, rank-dispersion objective and the rank-based slope estimator.
+"""Rank dispersion and the rank-based slope estimator.
 
-The slope estimator minimizes the dispersion
-
-    D(b) = sum_i (y_i - x_i'b) * (a_i(lambda, b) - a_bar(lambda))
-
-where ``a_i`` are piecewise-linear rank scores of the residuals.  D is
-convex, piecewise-linear and invariant to the intercept, so the minimizer
-estimates the slopes without touching the nuisance location.
+Jaeckel's dispersion with Hajek scores is the lambda-check loss of the
+residuals r = y - Xb at their best intercept (Jaeckel 1972; Gutenbrunner and
+Jureckova 1992): D(b) = min_c sum rho_lam(r_i - c) = sum rho_lam(r_i - r_(k+1)),
+k = floor(n * lam).  D is convex, piecewise-linear and invariant to the
+intercept, so its minimizer estimates the slopes without the nuisance
+location.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, IdentifiabilityError
-from .model import Dataset, _centered_scatters
+from .model import Dataset, _centered_scatters, check_loss_vec
 from .model import design_diagnostics  # noqa: F401  perfbench's tracer binds this name here
 from .regression import _certified_vertices
 
@@ -32,35 +31,15 @@ class REstimate:
     iterations: int
 
 
-def _scores(r: np.ndarray, lam: float) -> np.ndarray:
-    """Scores ``clip(R_i - n*lambda, 0, 1)`` by selection instead of ranking.
-
-    ``R_i`` is the rank of ``r_i`` with ties broken by index.  Only the
-    ``(k+1)``-th order statistic t, k = floor(n*lambda), decides a score:
-    values above t score 1, values below t score 0, and among the values
-    equal to t, in index order, the one of rank k + 1 scores
-    ``k + 1 - n*lambda``, later ones 1 and earlier ones 0.  This is the rank
-    formula bit for bit, in O(n).
-    """
-    n = r.shape[0]
-    nl = n * lam
-    k = int(nl)  # < n: lambda <= 1 - 2**-53, so n*lambda rounds below n for n < 2**53
-    t = np.partition(r, k)[k]
-    scores = (r > t).astype(float)
-    ties = np.flatnonzero(r == t)
-    if ties.size:  # empty only when t is NaN, which makes the dispersion NaN
-        j = k - int(np.count_nonzero(r < t))
-        scores[ties[j]] = (k + 1) - nl  # in (0, 1], so the clip is the identity
-        scores[ties[j + 1:]] = 1.0
-    return scores
-
-
 def jaeckel_dispersion(b, ds: Dataset, lam: float) -> float:
-    """Rank-weighted residual spread ``sum r_i (a_i - a_bar)`` at slopes b.
+    """Jaeckel dispersion at slopes b: the check loss of the residuals r
+    about r_(k+1), k = floor(n * lam), a best intercept.  Its terms are
+    nonnegative, so nothing cancels as lam nears 0 or 1 or under an offset
+    of y.
 
     Only ``b`` and ``lam`` are checked: a :class:`Dataset` is finite, and
-    slopes so large that the residuals overflow give a non-finite spread,
-    which raises :class:`DataError`.
+    slopes so large that the residuals or their spread overflow give a
+    non-finite loss, which raises :class:`DataError`.
     """
     if ds.p == 0:
         raise DataError("dispersion needs at least one covariate (p >= 1)")
@@ -69,9 +48,10 @@ def jaeckel_dispersion(b, ds: Dataset, lam: float) -> float:
         raise DataError(f"b must have length {ds.p}")
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must be in (0, 1), got {lam}")
-    residuals = ds.y - ds.x @ b
-    scores = _scores(residuals, lam)
-    d = float(residuals @ (scores - scores.mean()))
+    r = ds.y - ds.x @ b
+    # k < n: lambda <= 1 - 2**-53, so n*lambda rounds below n for n < 2**53
+    k = int(r.shape[0] * lam)
+    d = float(check_loss_vec(r - np.partition(r, k)[k], lam).sum())
     if not math.isfinite(d):
         raise DataError(f"non-finite dispersion at b = {b.tolist()}")
     return d
@@ -80,11 +60,10 @@ def jaeckel_dispersion(b, ds: Dataset, lam: float) -> float:
 def fit_r_estimator(ds: Dataset, lam: float = 0.5) -> REstimate:
     """Slope estimate minimizing the rank dispersion.
 
-    With the Hajek scores ``D(b) = min_c sum rho_lam(y_i - c - x_i'b)``
-    (Gutenbrunner and Jureckova 1992, Ann. Statist.), so the minimizer is the
-    slope part of a vertex of that LP, certified by its duality gap, or
-    :class:`SolverFailure`.  ``iterations`` counts the interior-point
-    iterations plus the vertex pivots.
+    The dispersion is ``min_c sum rho_lam(y_i - c - x_i'b)``, so the
+    minimizer is the slope part of a vertex of that LP, certified by its
+    duality gap, or :class:`SolverFailure`.  ``iterations`` counts the
+    interior-point iterations plus the vertex pivots.
     """
     [(b, iterations)] = _fit_slopes(ds.y[None], ds.x[None], lam)
     return REstimate(lam=lam, beta_tilde=b, dispersion=jaeckel_dispersion(b, ds, lam),

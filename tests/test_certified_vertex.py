@@ -131,7 +131,8 @@ def test_duplicated_rows():
 def test_level_with_fractional_n_lambda(n, p, lam):
     y, x = uniform_design_set(n, p=p, n=n)
     coef = assert_optimal_vertex(y, x, lam)
-    # With the Hajek scores the dispersion is the profiled check loss even
+    # The dispersion, the check loss about r_(k+1) with k = floor(n * lam),
+    # is the loss at the fit's own intercept: both are best intercepts, also
     # when n * lam is not whole.
     assert jaeckel_dispersion(coef[1:], Dataset(y=y, x=x), lam) == pytest.approx(
         check_loss(y, x, coef, lam), rel=1e-13)

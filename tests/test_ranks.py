@@ -1,5 +1,7 @@
+import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +9,8 @@ from hypothesis import given, strategies as st
 
 from quantfunc import (Dataset, DataError, DomainError, fit_r_estimator,
                        jaeckel_dispersion)
-from quantfunc.cli import read_csv_dataset
+from quantfunc.cli import main, read_csv_dataset
 from quantfunc.model import check_loss_vec
-from quantfunc.ranks import _scores
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -28,6 +29,7 @@ def oracle_scores(values: np.ndarray, lam: float) -> np.ndarray:
 
 
 def oracle_dispersion(b, ds, lam: float) -> float:
+    """The Jaeckel dispersion ``sum r_i (a_i - a_bar)`` by the rank formula."""
     residuals = ds.y - ds.x @ np.asarray(b, dtype=float)
     scores = oracle_scores(residuals, lam)
     return float(residuals @ (scores - float(scores.mean())))
@@ -44,11 +46,20 @@ def centered_dispersion(b, ds, lam: float) -> float:
     return float(((ds.y - ds.y_mean) - (ds.x - ds.x_mean) @ b) @ scores)
 
 
+def exact_dispersion(r: np.ndarray, lam: float) -> Fraction:
+    """``sum rho_lam(r_i - r_(k+1))``, k = int(n * lam), in exact arithmetic."""
+    t = Fraction(float(np.sort(r)[int(r.shape[0] * lam)]))
+    lam = Fraction(lam)
+    return sum((u * (lam - (u < 0)) for u in (Fraction(float(v)) - t for v in r)),
+               Fraction(0))
+
+
 # Few distinct values, so that ties (and ties at the selected order
-# statistic) are common; signed zeros are ties too.
+# statistic) are common; signed zeros are ties too.  A dataset with one
+# covariate holds at least 3 rows.
 tied_vectors = st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 2.0]),
-                        min_size=1, max_size=40).map(np.array)
-float_vectors = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1,
+                        min_size=3, max_size=40).map(np.array)
+float_vectors = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=3,
                          max_size=40).map(np.array)
 # Levels in the open interval, including both ends' neighbours.
 levels = st.one_of(
@@ -60,9 +71,8 @@ levels = st.one_of(
 def whole_n_lambda(draw):
     """A vector whose length n is a power of two and a level m/n, so that
     n * lambda is exactly the whole number m."""
-    n = 2 ** draw(st.integers(0, 5))
-    m = draw(st.integers(1, n - 1)) if n > 1 else 1
-    lam = m / n if n > 1 else 0.5
+    n = 2 ** draw(st.integers(2, 5))
+    lam = draw(st.integers(1, n - 1)) / n
     values = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
                            min_size=n, max_size=n))
     return np.array(values), lam
@@ -85,60 +95,6 @@ def grid_refine_minimum(ds, lam, lo=-10.0, hi=10.0):
         a, b = g[max(0, k - 1)], g[min(len(g) - 1, k + 1)]
         best = float(v[k])
     return best
-
-
-class TestHajekScores:
-    def test_four_point_example(self):
-        scores = _scores(np.array([10.0, 20.0, 30.0, 40.0]), 0.5)
-        assert scores == pytest.approx([0.0, 0.0, 1.0, 1.0])
-        assert scores.mean() == pytest.approx(0.5)
-
-    def test_single_observation_middle_branch(self):
-        # rank 1 with n*lambda = 0.5 falls in the middle branch: 1 - 0.5
-        assert _scores(np.array([7.0]), 0.5) == pytest.approx([0.5])
-
-    def test_scores_in_unit_interval(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            n = int(rng.integers(1, 30))
-            scores = _scores(rng.standard_normal(n), float(rng.uniform(0.05, 0.95)))
-            assert np.all(scores >= 0.0) and np.all(scores <= 1.0)
-
-    def test_integer_n_lambda_branch_counts(self):
-        # with n*lambda integer and distinct residuals: one fractional score
-        # of zero, ceil(n(1-lambda)) - ... -> exactly n - n*lambda ones
-        n, lam = 8, 0.25
-        scores = _scores(np.arange(n, dtype=float), lam)
-        nl = n * lam
-        ones = int(np.sum(scores == 1.0))
-        zeros = int(np.sum(scores == 0.0))
-        assert ones == n - int(nl)
-        assert zeros == int(nl)
-
-    def test_mean_score_invariant_in_residual_configuration(self):
-        # without ties the mean score depends only on (n, lambda)
-        rng = np.random.default_rng(2)
-        n, lam = 11, 0.37
-        means = {float(_scores(rng.standard_normal(n), lam).mean())
-                 for _ in range(10)}
-        assert max(means) - min(means) < 1e-12
-
-    @given(values=st.one_of(tied_vectors, float_vectors), lam=levels)
-    def test_equal_to_the_rank_formula_bitwise(self, values, lam):
-        got = _scores(values, lam)
-        assert got.tobytes() == oracle_scores(values, lam).tobytes()
-
-    @given(case=whole_n_lambda())
-    def test_equal_to_the_rank_formula_at_whole_n_lambda(self, case):
-        values, lam = case
-        got = _scores(values, lam)
-        assert got.tobytes() == oracle_scores(values, lam).tobytes()
-
-    def test_tied_scores_follow_index_order(self):
-        # n*lambda = 1.5: the stable ranks of the four 2.0s are 2..5, so the
-        # first tie scores 0.5 and the later ones 1.
-        scores = _scores(np.array([2.0, 1.0, 2.0, 2.0, 2.0]), 0.3)
-        assert scores.tolist() == [0.5, 0.0, 1.0, 1.0, 1.0]
 
 
 class TestJaeckelDispersion:
@@ -175,8 +131,21 @@ class TestJaeckelDispersion:
         with pytest.raises(DataError):
             jaeckel_dispersion(np.zeros(0), ds, 0.5)
 
-    @given(data=st.data(), lam=levels)
-    def test_equal_to_the_oracle_formula_bitwise(self, data, lam):
+    @given(case=st.one_of(st.tuples(st.one_of(tied_vectors, float_vectors), levels),
+                          whole_n_lambda()))
+    def test_equal_to_the_exact_check_loss(self, case):
+        r, lam = case
+        ds = Dataset(y=r, x=np.zeros((r.shape[0], 1)))
+        d = jaeckel_dispersion(np.zeros(1), ds, lam)
+        # No term cancels: 4 eps covers the roundings of r_i - t, lam - 1,
+        # the products and the sum.  A product that underflows rounds by up
+        # to half the smallest subnormal instead.
+        exact = exact_dispersion(r, lam)
+        slack = Fraction(r.shape[0], 2 ** 1075)
+        assert abs(Fraction(d) - exact) <= 4 * Fraction(2.0 ** -52) * exact + slack
+
+    @given(data=st.data(), lam=st.floats(0.01, 0.99))
+    def test_equal_to_the_oracle_formula(self, data, lam):
         p = data.draw(st.integers(1, 3))
         n = data.draw(st.integers(p + 2, 30))
         # Small whole numbers make tied residuals common.
@@ -186,7 +155,10 @@ class TestJaeckelDispersion:
         b = np.array(data.draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 0.3]),
                                         min_size=p, max_size=p)))
         ds = Dataset(y=y, x=x)
-        assert jaeckel_dispersion(b, ds, lam) == oracle_dispersion(b, ds, lam)
+        # The rank formula cancels to the size of the residuals' rounding.
+        scale = float(np.abs(ds.y - ds.x @ b).sum())
+        assert jaeckel_dispersion(b, ds, lam) == pytest.approx(
+            oracle_dispersion(b, ds, lam), rel=1e-12, abs=1e-14 * scale)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -279,7 +251,7 @@ class TestFitREstimator:
         ds = read_csv_dataset(os.path.join(FIXTURES, "n200.csv"), "y", ["x1", "x2"])
         lam = 0.5
         est = fit_r_estimator(ds, lam)
-        assert est.dispersion.hex() == "0x1.5c9c456e5c7a1p+6"   # 87.15260860862192
+        assert est.dispersion.hex() == "0x1.5c9c456e5c7a2p+6"   # 87.15260860862193
         assert [b.hex() for b in est.beta_tilde] == ["0x1.13cbf1a78e47cp+1",
                                                      "-0x1.6fd73ccc283c0p-1"]
         assert est.iterations == 9
@@ -295,6 +267,28 @@ class TestFitREstimator:
         assert np.all((lam - 1.0 < multipliers) & (multipliers < lam))
         assert math.fsum(check_loss_vec(r, lam)) == pytest.approx(est.dispersion,
                                                                   rel=1e-14)
+
+    @pytest.mark.parametrize("lam, offset", [
+        (0.5, 0.0), (1e-16, 0.0), (1e-40, 0.0), (1.0 - 1e-16, 0.0), (0.5, 1e9)])
+    def test_reported_dispersion_is_the_exact_check_loss(self, tmp_path, capsys,
+                                                         lam, offset):
+        # The rank-score form sum r_i (a_i - a_bar) cancels at these levels
+        # and offsets: it reads 0.0 at lam = 1e-40 and is 28 % off at
+        # 1 - 1e-16.  The check loss has no cancelling terms.
+        ds = read_csv_dataset(os.path.join(FIXTURES, "n200.csv"), "y", ["x1", "x2"])
+        ds = Dataset(y=ds.y + offset, x=ds.x)
+        data = tmp_path / "n200.csv"
+        rows = np.column_stack([ds.x, ds.y]).tolist()
+        data.write_text("x1,x2,y\n" + "".join(",".join(map(repr, row)) + "\n"
+                                               for row in rows))
+        report = tmp_path / "fit.json"
+        assert main(["--command", "fit", "--input", str(data), "--response", "y",
+                     "--covariates", "x1,x2", "--lambda", repr(lam),
+                     "--output", str(report)]) == 0
+        assert capsys.readouterr().err == ""
+        fit = json.loads(report.read_text())
+        exact = exact_dispersion(ds.y - ds.x @ np.array(fit["slopes"]), lam)
+        assert abs(Fraction(fit["dispersion"]) - exact) <= 2 * Fraction(math.ulp(float(exact)))
 
     @pytest.mark.parametrize("ds, lam", [
         (Dataset(y=np.zeros(3), x=[[1.0], [2.0], [0.0]]), 0.25),
