@@ -131,10 +131,16 @@ class TestJaeckelDispersion:
         with pytest.raises(DataError):
             jaeckel_dispersion(np.zeros(0), ds, 0.5)
 
-    @given(case=st.one_of(st.tuples(st.one_of(tied_vectors, float_vectors), levels),
-                          whole_n_lambda()))
-    def test_equal_to_the_exact_check_loss(self, case):
-        r, lam = case
+    @given(r=st.one_of(tied_vectors, float_vectors), lam=levels)
+    def test_equal_to_the_exact_check_loss(self, r, lam):
+        self._assert_exact_check_loss(r, lam)
+
+    @given(case=whole_n_lambda())
+    def test_equal_to_the_exact_check_loss_at_whole_n_lambda(self, case):
+        self._assert_exact_check_loss(*case)
+
+    @staticmethod
+    def _assert_exact_check_loss(r, lam):
         ds = Dataset(y=r, x=np.zeros((r.shape[0], 1)))
         d = jaeckel_dispersion(np.zeros(1), ds, lam)
         # No term cancels: 4 eps covers the roundings of r_i - t, lam - 1,
