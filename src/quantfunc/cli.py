@@ -50,43 +50,39 @@ def read_csv_dataset(path: str, response: str, covariates: list[str]) -> Dataset
 
     The header line is read here and the used columns are parsed from the
     open file in one vectorized pass, so the body is never held as one
-    string.  Missing, non-numeric, non-finite or whitespace-padded cells,
-    and digit separators such as ``1_000``, abort with the offending row
+    string.  A used column missing from the header or named in it twice
+    aborts, and so do missing, non-numeric, non-finite or whitespace-padded
+    cells and digit separators such as ``1_000``, with the offending row
     number.
     """
     columns = [response, *covariates]
-    error = None
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             header_line = fh.readline()
             header = [h.strip() for h in next(csv.reader([header_line]))]
-            if not header_line.strip() or not all(c in header for c in columns):
-                _raise_input_fault(path, columns)
             cols = [header.index(c) for c in columns]
+            if any(header.count(c) > 1 for c in columns):
+                raise ValueError("a used column is repeated in the header")
             # numpy's parser strips whitespace around a number, so a body
             # that may pad a cell has each used cell parsed by _cell.  The
             # encoding hands it str: numpy 1.x defaults to latin1 bytes.
             strict = _cell if _needs_cell_check(path, len(header_line.encode())) else None
-            try:
-                with warnings.catch_warnings():
-                    # A body of empty lines is refused as "no data rows" below.
-                    warnings.simplefilter("ignore", UserWarning)
-                    data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=cols,
-                                      ndmin=2, comments=None, converters=strict,
-                                      encoding="utf-8")
-            except ValueError as exc:  # a bad cell, or an undecodable byte
-                error = exc
-        if error is not None or not len(data):
-            _raise_input_fault(path, columns)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CliError("input", f"cannot read {path}: {exc}") from exc
-    if error is not None:
-        raise CliError("input", f"{path}: {error}") from error
-    try:
+            with warnings.catch_warnings():
+                # A body of empty lines is refused as "no data rows" below.
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', usecols=cols,
+                                  ndmin=2, comments=None, converters=strict,
+                                  encoding="utf-8")
         return Dataset(y=data[:, 0], x=data[:, 1:])
-    except DataError as exc:  # a non-finite cell is named by its row
+    except OSError as exc:
+        raise CliError("input", f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        # A missing or repeated column, a bad or undecodable cell, or a
+        # DataError: an empty body, a non-finite cell or too few rows.
         _raise_input_fault(path, columns)
-        raise CliError("data", str(exc)) from exc
+        if isinstance(exc, DataError):
+            raise CliError("data", str(exc)) from exc
+        raise CliError("input", f"{path}: {exc}") from exc
 
 
 def _cell(text: str) -> float:
@@ -115,10 +111,11 @@ def _needs_cell_check(path: str, start: int) -> bool:
 
 def _raise_input_fault(path: str, columns: list[str]) -> None:
     """Read the file again whole and raise for its first fault, in the order
-    the checks take: an undecodable byte, a missing header or column, a
-    blank body, then the first row with a used cell that is not a plain
-    number or not finite.  Rows are numbered by the physical line on which
-    they start.  Returns when there is none."""
+    the checks take: an undecodable byte, a missing header, a used column
+    missing from the header or in it twice, a blank body, then the first row
+    with a used cell that is not a plain number or not finite.  Rows are
+    numbered by the physical line on which they start.  Returns when there
+    is none."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             header_line = fh.readline()
@@ -131,6 +128,9 @@ def _raise_input_fault(path: str, columns: list[str]) -> None:
     for col in columns:
         if col not in header:
             raise CliError("input", f"{path}: column {col!r} not in header {header}")
+        if header.count(col) > 1:
+            raise CliError("input", f"{path}: column {col!r} appears "
+                                    f"{header.count(col)} times in header {header}")
     if not body.strip():
         raise CliError("input", f"{path}: no data rows")
     cols = [header.index(c) for c in columns]
@@ -228,11 +228,18 @@ def run_functional(args) -> None:
     _dump(payload, args.output)
 
 
+def _real(value) -> float:
+    """``float(value)``, refusing a boolean: JSON's ``true`` is not 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{json.dumps(value)} is not a number")
+    return float(value)
+
+
 def _whole(value) -> int:
-    """``int(value)``, refusing a float with a fractional part."""
+    """``int(value)``, refusing a boolean and a float with a fractional part."""
     number = int(value)
-    if isinstance(value, float) and number != value:
-        raise ValueError(f"{value!r} is not a whole number")
+    if isinstance(value, bool) or isinstance(value, float) and number != value:
+        raise ValueError(f"{json.dumps(value)} is not a whole number")
     return number
 
 
@@ -273,18 +280,18 @@ def _load_sim_config(args) -> tuple[sim.SimulationConfig, str, tuple]:
         raw["seed"] = args.seed
     try:
         optional = {name: parse(raw[key]) for key, name, parse in (
-            ("lambda", "lam", float), ("replications", "replications", _whole),
+            ("lambda", "lam", _real), ("replications", "replications", _whole),
             ("seed", "seed", _whole)) if key in raw}
         if raw.get("alphas") is not None:
-            optional["alphas"] = tuple(float(a) for a in raw["alphas"])
+            optional["alphas"] = tuple(_real(a) for a in raw["alphas"])
         config = sim.SimulationConfig(
             n_grid=tuple(_whole(n) for n in raw["n_grid"]), p=_whole(raw["p"]),
-            beta0=float(raw.get("beta0", 0.0)),
-            beta=tuple(float(b) for b in raw.get("beta", [])),
+            beta0=_real(raw.get("beta0", 0.0)),
+            beta=tuple(_real(b) for b in raw.get("beta", [])),
             error_dist=sim.ErrorDistribution(raw.get("error_dist", "standard_normal"),
-                                             float(raw.get("error_param", 1.0))),
+                                             _real(raw.get("error_param", 1.0))),
             design=raw.get("design", "iid_uniform_cube"), **optional)
-        extra = ((raw["functional"], float(raw["level"]))
+        extra = ((raw["functional"], _real(raw["level"]))
                  if study == "functional_consistency" else ())
     except (DomainError, TypeError, ValueError, OverflowError) as exc:
         raise CliError("config", str(exc)) from exc
@@ -340,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args) -> None:
     """Parse and check every flag, before any input is read."""
-    args.covariates = [c for c in args.covariates.split(",") if c.strip()]
+    # Header cells are stripped, so a name with a blank around it is too.
+    args.response = (args.response or "").strip()
+    args.covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
     try:
         args.alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
     except ValueError as exc:

@@ -163,22 +163,6 @@ class StepQuantileProcess:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def _of_sorted(cls, values: np.ndarray, **fields):
-        """``cls(values=values, **fields)`` without the copy and the order
-        check, for a fresh one-dimensional float64 vector that is sorted by
-        construction and held by no one else.  The size and finiteness
-        checks and the read-only flag stay."""
-        if values.size == 0:
-            raise DataError("process needs a nonempty one-dimensional value vector")
-        if not np.all(np.isfinite(values)):
-            raise DataError("non-finite process values")
-        values.setflags(write=False)
-        proc = cls.__new__(cls)
-        for name, value in {"values": values, **fields}.items():
-            object.__setattr__(proc, name, value)
-        return proc
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -212,7 +196,7 @@ def empirical_quantile_process(values) -> StepQuantileProcess:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise DataError("need a one-dimensional sample")
-    return StepQuantileProcess._of_sorted(np.sort(v))
+    return StepQuantileProcess(values=np.sort(v))
 
 
 def _centered_scatters(x: np.ndarray):
@@ -228,12 +212,6 @@ def _centered_scatters(x: np.ndarray):
     lowest, highest = eigvals[:, 0], eigvals[:, -1]
     singular = (lowest <= SINGULARITY_RTOL * np.maximum(highest, 0.0)) | (highest <= 0.0)
     return xc, v_n, eigvals, singular
-
-
-def _centered_scatter(ds: Dataset):
-    """:func:`_centered_scatters` of one dataset, p >= 1."""
-    xc, v_n, eigvals, singular = _centered_scatters(ds.x[None])
-    return xc[0], v_n[0], eigvals[0], bool(singular[0])
 
 
 def design_diagnostics(ds: Dataset) -> DesignDiagnostics:
@@ -253,7 +231,7 @@ def design_diagnostics(ds: Dataset) -> DesignDiagnostics:
             v_n_over_n_spectral_norm=0.0,
             x1_suspect=False,
         )
-    xc, v_n, eigvals, singular = _centered_scatter(ds)
+    xc, v_n, eigvals, singular = (a[0] for a in _centered_scatters(ds.x[None]))
     max_centered_norm = float(np.max(np.linalg.norm(xc, axis=1)))
     spectral = float(eigvals[-1] / n)
     if singular:

@@ -78,12 +78,12 @@ def averaged_two_step_process(ds: Dataset, lam: float = 0.5,
     slopes, adjusted = _residuals(ds, lam, slopes)
     adjusted += ds.x_mean @ slopes
     adjusted.sort()
-    return AveragedTwoStepProcess._of_sorted(adjusted, lam=lam,
-                                             nuisance_estimate=ds.y_mean, slopes=slopes)
+    return AveragedTwoStepProcess(values=adjusted, lam=lam,
+                                  nuisance_estimate=ds.y_mean, slopes=slopes)
 
 
 def centered_process(proc: AveragedTwoStepProcess) -> StepQuantileProcess:
     """Estimator of the error quantile function: the process minus its
     response-mean estimate ``nuisance_estimate``.  Rounding is monotone, so
     the shifted values stay sorted."""
-    return StepQuantileProcess._of_sorted(proc.values - proc.nuisance_estimate)
+    return StepQuantileProcess(values=proc.values - proc.nuisance_estimate)

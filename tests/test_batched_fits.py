@@ -307,7 +307,7 @@ def singularity_batch():
     # The eigenvalue ratio grows as the square of a small perturbation's scale.
     e = rng.standard_normal(30)
     ref = np.column_stack([x1, 2.0 * x1 + 1e-4 * e, extra])
-    eigvals = model._centered_scatter(Dataset(y=e, x=ref))[2]
+    eigvals = model._centered_scatters(ref[None])[2][0]
     scale = 1e-4 * np.sqrt(model.SINGULARITY_RTOL * eigvals[-1] / eigvals[0])
     designs += [np.column_stack([x1, 2.0 * x1 + scale * (1.0 + side) * e, extra])
                 for side in (-1e-4, 1e-4)]
@@ -321,7 +321,7 @@ def test_one_eigvalsh_call_decides_each_design_as_alone(monkeypatch):
     batch = [Dataset(y=rng.standard_normal(30), x=x)
              for x in regular[:2] + designs[:4] + regular[2:] + designs[4:]]
     y, x = stacked(batch)
-    alone = [model._centered_scatter(ds)[3] for ds in batch]
+    alone = [model._centered_scatters(ds.x[None])[3].item() for ds in batch]
     assert alone == [False, False] + expected[:4] + [False] + expected[4:]
     assert model._centered_scatters(x)[3].tolist() == alone
     # The two regular designs before the first singular one are yielded, each

@@ -382,6 +382,18 @@ class TestSimulate:
         ({"study": "two_step_rate", "alphas": "0.5"}, "'alphas' must be a list, got '0.5'"),
         ({"study": "functional_consistency", "functional": "lorenz", "level": 0.5},
          "functional_consistency takes a functional in ['cvar', 'mean_excess'], got 'lorenz'"),
+        # JSON's true once read as 1: p = 1, one replication, seed 0, exit 0.
+        ({"p": True}, "true is not a whole number"),
+        ({"replications": True}, "true is not a whole number"),
+        ({"seed": False}, "false is not a whole number"),
+        ({"n_grid": [True, 400]}, "true is not a whole number"),
+        ({"beta": [True]}, "true is not a number"),
+        ({"beta0": True}, "true is not a number"),
+        ({"error_param": True}, "true is not a number"),
+        ({"lambda": True}, "true is not a number"),
+        ({"study": "two_step_rate", "alphas": [0.5, True]}, "true is not a number"),
+        ({"study": "functional_consistency", "functional": "cvar", "level": True},
+         "true is not a number"),
     ])
     def test_bad_config_exits_with_one_config_error(self, tmp_path, capsys, monkeypatch,
                                                     config, message):
@@ -614,6 +626,37 @@ class TestErrors:
                            "--response", "nope")
         assert code != 0
         assert err.startswith("error:input:")
+
+    @pytest.mark.parametrize("header,name", [
+        ("y,x1,x1", "x1"), ("y,x1,y", "y"), ("x1,y,x1", "x1"),
+    ])
+    def test_a_repeated_used_column_is_refused(self, tmp_path, capsys, header, name):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + "".join(f"{i},{i * i % 7},{i % 3}\n"
+                                                for i in range(8)))
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", "y", "--covariates", "x1")
+        assert (code, out, err) == (2, "", f"error:input: {path}: column {name!r} "
+                                           f"appears 2 times in header {header.split(',')}\n")
+
+    def test_a_repeated_unused_column_is_accepted(self, tmp_path, capsys):
+        reports = []
+        for header in ("y,x1,z,z", "y,x1,z,w"):
+            path = tmp_path / "d.csv"
+            path.write_text(header + "\n" + "".join(f"{i},{i * i % 7},a,b\n"
+                                                    for i in range(8)))
+            reports.append(run(capsys, "--command", "fit", "--input", str(path),
+                               "--response", "y", "--covariates", "x1"))
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+    @pytest.mark.parametrize("response,covariates", [
+        (" y", "x1, x2"), ("y ", " x1 ,x2\t"),
+    ])
+    def test_flag_names_are_stripped_as_header_cells_are(self, capsys, response, covariates):
+        reports = [run(capsys, "--command", "fit", "--input", fx("n200.csv"),
+                       "--response", r, "--covariates", c)
+                   for r, c in ((response, covariates), ("y", "x1,x2"))]
+        assert reports[0] == reports[1] and reports[0][0] == 0
 
     def test_missing_input_flag(self, capsys):
         code, _, err = run(capsys, "--command", "fit", "--response", "y")
