@@ -362,6 +362,11 @@ def _check_flags(args) -> None:
     if args.command in ("fit", "functional"):
         if not args.input or not args.response:
             raise CliError("config", f"{args.command} requires --input and --response")
+        columns = [args.response, *args.covariates]
+        for k, column in enumerate(columns):
+            if column in columns[:k]:
+                raise CliError("config", f"column {column!r} is named twice "
+                                         "in --response and --covariates")
     if args.command == "functional":
         if args.functional not in fn.FUNCTIONALS:
             raise CliError("config", f"unknown functional {args.functional!r}; "

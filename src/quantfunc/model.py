@@ -61,19 +61,6 @@ class Dataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
-    @classmethod
-    def _of_rows(cls, y: np.ndarray, x: np.ndarray):
-        """A dataset holding ``y`` and ``x`` themselves, without the copy and
-        the shape checks, for read-only float64 rows (n,) and (n, p), with
-        n >= p + 2, of a batch that no one writes.  The finiteness check
-        stays."""
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(x)):
-            raise DataError("non-finite entries in y or x")
-        ds = cls.__new__(cls)
-        object.__setattr__(ds, "y", y)
-        object.__setattr__(ds, "x", x)
-        return ds
-
     @property
     def n(self) -> int:
         return self.y.shape[0]

@@ -6,11 +6,10 @@ summarizes errors as per-sample-size RMSEs with a fitted log-log slope.
 
 Reproducibility: the generator is the counter-based Philox engine keyed by
 ``SeedSequence([seed, n, replicate])``, so every (replicate, n) pair owns an
-independent substream and execution order cannot change results.  The
-replicates of one n are drawn straight into one batch's arrays and fitted
-there, and a batch's size and members cannot change results either: each
-replicate's data are the bits :func:`generate` draws, and its slopes are
-bitwise the ones it gets when fitted alone.
+independent substream and execution order cannot change results.  Every
+replicate is drawn by :func:`generate`, and the replicates of one n are
+fitted in batches whose size and members cannot change results either: each
+replicate's slopes are bitwise the ones it gets when fitted alone.
 """
 
 from __future__ import annotations
@@ -38,27 +37,11 @@ STUDY_FUNCTIONALS = fn.FUNCTIONALS[:2]
 COVERAGE_C = 5.0
 
 # Most responses (replicates times n) whose slopes are fitted in one batch.
-# A batch is drawn once into its response and design arrays and fitted there;
-# a study peaks at about 12 float64 arrays of this size (tracemalloc, p = 1,
-# n = 100 to 1600), about 1.2 MB.  Paired 20 s runs of perfbench's
-# monte_carlo workload against the previous tree, which copied each batch
-# three times, held 7168 and imported numpy.polynomial (2-core host, 3 to 11
-# pairs each; medians of the paired changes):
-#   budget    op_s   peak RSS
-#     7168   +5.6 %   -1.23 %   (in-process timings read its op_s unchanged)
-#    10240  -11.9 %   -0.65 %
-#    12288  -21.0 %   -0.28 %
-#    14336  -18.9 %   +0.41 %
-#    15360  -14.1 %   +0.68 %
-#    16384  -27.4 %   +1.12 %
-# 12288 is the largest budget whose every pair stayed within 1 % of the
-# previous peak RSS (at most +0.10 %); 14336 and 15360 each had a pair past
-# 1 % and were no faster.
+# A study peaks at about 14 float64 arrays of this size (tracemalloc, p = 1,
+# n = 100 to 1600, numpy 2.4), about 1.35 MB.  12288 is the largest budget
+# whose paired perfbench monte_carlo runs all kept the peak RSS within 1 % of
+# a 7168-element budget's; larger ones broke that or were no faster.
 _BATCH_ELEMENTS = 12288
-
-# The view constructor is bound here once: perfbench's tracer replaces the
-# module's Dataset name with a function.
-_dataset_of_rows = Dataset._of_rows
 
 _STD_NORMAL = NormalDist()
 
@@ -182,12 +165,14 @@ class SimulationConfig:
             raise DomainError(f"unknown design {self.design!r}")
         if len(self.beta) != self.p:
             raise DomainError(f"beta must have length p={self.p}")
-        if not all(0.0 < a < 1.0 for a in self.alphas):
-            raise DomainError("alpha grid must lie inside (0, 1)")
+        if not self.alphas or not all(0.0 < a < 1.0 for a in self.alphas):
+            raise DomainError("alpha grid must be nonempty and lie inside (0, 1)")
         if not 0.0 < self.lam < 1.0:
             raise DomainError("lambda must be in (0, 1)")
         if self.replications < 1 or min(self.n_grid, default=0) < self.p + 2:
             raise DomainError("invalid replications or n_grid")
+        if len(set(self.n_grid)) < 2:
+            raise DomainError("need at least two distinct sample sizes for a rate study")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
@@ -242,60 +227,43 @@ def _design_matrix(config: SimulationConfig, n: int, rng: np.random.Generator) -
     return rng.standard_normal((n, p))
 
 
-def _draw(config: SimulationConfig, n: int, replicate: int, y: np.ndarray,
-          x: np.ndarray) -> np.ndarray:
-    """Draw one replication into y (n,) and x (n, p) and return its hidden
-    errors.
+def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset, np.ndarray]:
+    """One replication: observable dataset plus the hidden errors.
 
     Deterministic in (seed, n, replicate).  The design substream is drawn
     before the error substream, both from the same Philox key.
     """
     rng = _substream(config.seed, n, replicate)
-    design = _design_matrix(config, n, rng)
+    x = _design_matrix(config, n, rng)
     z = config.error_dist.sample(rng, n)
-    np.add(config.beta0 + design @ np.asarray(config.beta, dtype=float), z, out=y)
-    x[...] = design
-    return z
-
-
-def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset, np.ndarray]:
-    """One replication: observable dataset plus the hidden errors.
-
-    Deterministic in (seed, n, replicate); a study draws the same bits.
-    """
-    y, x = np.empty(n), np.empty((n, config.p))
-    z = _draw(config, n, replicate, y, x)
-    return Dataset(y=y, x=x), z
+    return Dataset(y=(config.beta0 + x @ np.asarray(config.beta, dtype=float)) + z, x=x), z
 
 
 def _replicates(config: SimulationConfig, n: int, measure, errors=None) -> list:
     """``measure(ds, e, slopes)`` of each replicate at sample size n, in
     replicate order, with ``e = errors(z)`` of its hidden errors z, or None.
 
-    The replicates are drawn a batch at a time, straight into one frozen
-    response array (B, n) and one design array (B, n, p).  Each dataset is a
-    read-only view of its rows, and the slopes are fitted on the arrays
-    themselves, each the bits of a lone :func:`fit_r_estimator`.  ``errors``
+    Each replicate is drawn by :func:`generate`, a batch at a time, and the
+    slopes of a batch are fitted on its stacked responses (B, n) and designs
+    (B, n, p), each the bits of a lone :func:`fit_r_estimator`.  ``errors``
     reads z as it is drawn, so that a batch holds no errors while it is
-    fitted.  ``measure`` keeps no dataset, so one batch's arrays are freed
-    before the next batch is fitted.  The studies read only the slopes, so no
-    dispersion is computed.
+    fitted.  ``measure`` keeps no dataset, so one batch is freed before the
+    next is drawn.  The studies read only the slopes, so no dispersion is
+    computed.
     """
     size, measured = max(1, _BATCH_ELEMENTS // n), []
     for start in range(0, config.replications, size):
-        reps = range(start, min(start + size, config.replications))
-        y, x = np.empty((len(reps), n)), np.empty((len(reps), n, config.p))
-        hidden = []
-        for k, rep in enumerate(reps):
-            z = _draw(config, n, rep, y[k], x[k])
+        datasets, hidden = [], []
+        for rep in range(start, min(start + size, config.replications)):
+            ds, z = generate(config, n, rep)
+            datasets.append(ds)
             hidden.append(None if errors is None else errors(z))
-        y.setflags(write=False)
-        x.setflags(write=False)
-        datasets = [_dataset_of_rows(y_k, x_k) for y_k, x_k in zip(y, x)]
         if config.p:
-            slopes = [b for b, _ in _fit_slopes(y, x, config.lam)]
+            slopes = [b for b, _ in _fit_slopes(np.stack([ds.y for ds in datasets]),
+                                                np.stack([ds.x for ds in datasets]),
+                                                config.lam)]
         else:
-            slopes = [np.zeros(0)] * len(reps)
+            slopes = [np.zeros(0)] * len(datasets)
         measured.extend(map(measure, datasets, hidden, slopes))
     return measured
 
@@ -327,8 +295,6 @@ def rate_study_two_step(config: SimulationConfig) -> list[RateReport]:
     Returns two reports: deviations after removing the true nuisance
     ``beta0 + x_bar'beta`` and after removing the response-mean estimate.
     """
-    if len(config.n_grid) < 2:
-        raise DomainError("need at least two sample sizes for a rate study")
     beta = np.asarray(config.beta, dtype=float)
     sup_true, sup_mean = [], []
     for n in config.n_grid:

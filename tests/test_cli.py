@@ -394,6 +394,14 @@ class TestSimulate:
         ({"study": "two_step_rate", "alphas": [0.5, True]}, "true is not a number"),
         ({"study": "functional_consistency", "functional": "cvar", "level": True},
          "true is not a number"),
+        # A rate study over one size, or one size twice, fitted a meaningless
+        # log-log slope and exited 0; an empty alpha grid ended in a traceback.
+        ({"study": "two_step_rate", "n_grid": [40, 40]},
+         "need at least two distinct sample sizes"),
+        ({"n_grid": [40]}, "need at least two distinct sample sizes"),
+        ({"study": "functional_consistency", "functional": "cvar", "level": 0.8,
+          "n_grid": [40]}, "need at least two distinct sample sizes"),
+        ({"study": "two_step_rate", "alphas": []}, "alpha grid must be nonempty"),
     ])
     def test_bad_config_exits_with_one_config_error(self, tmp_path, capsys, monkeypatch,
                                                     config, message):
@@ -468,6 +476,24 @@ PADS = [c for c in map(chr, range(0x110000)) if c.isspace() and c not in "\n\r"]
 
 
 class TestErrors:
+    @pytest.mark.parametrize("response,covariates,column", [
+        ("y", "x1,x1", "x1"),
+        ("y", "y", "y"),
+        ("x2", "x1,x2", "x2"),
+    ])
+    def test_a_column_named_twice_is_refused(self, capsys, monkeypatch, response,
+                                             covariates, column):
+        # --covariates x1,x1 exited error:identifiability, and --response y
+        # --covariates y fitted y on itself with exit 0.
+        calls = count_calls(monkeypatch, cli, "read_csv_dataset")
+        for command in (["--command", "fit"],
+                        ["--command", "functional", "--functional", "cvar", "--level", "0.9"]):
+            code, out, err = run(capsys, *command, "--input", fx("n200.csv"),
+                                 "--response", response, "--covariates", covariates)
+            assert (code, out, calls) == (2, "", [])
+            assert err == (f"error:config: column {column!r} is named twice "
+                           "in --response and --covariates\n")
+
     def test_bad_cell_row_localized(self, capsys):
         code, _, err = run(capsys, "--command", "fit", "--input", fx("bad_cell.csv"),
                            "--response", "y", "--covariates", "x")

@@ -184,8 +184,12 @@ class TestRateStudies:
         assert r1 == r2
 
     def test_needs_two_sizes(self):
-        with pytest.raises(DomainError):
-            rate_study_two_step(small_config(n_grid=(30,)))
+        # A log-log slope across fewer than two distinct sizes is meaningless.
+        for study in (rate_study_two_step, rate_study_r_estimator,
+                      lambda config: functional_consistency_study(config, "cvar", 0.8)):
+            for n_grid in ((30,), (40, 40)):
+                with pytest.raises(DomainError, match="two distinct sample sizes"):
+                    study(small_config(n_grid=n_grid))
 
 
 class TestReportSerialization:
@@ -212,8 +216,9 @@ class TestConfigValidation:
             small_config(beta=(1.0, 2.0))
 
     def test_alpha_grid_bounds(self):
-        with pytest.raises(DomainError):
-            small_config(alphas=(0.5, 1.0))
+        for alphas in ((0.5, 1.0), ()):
+            with pytest.raises(DomainError, match="alpha grid"):
+                small_config(alphas=alphas)
 
     def test_negative_seed(self):
         with pytest.raises(DomainError, match="seed"):
