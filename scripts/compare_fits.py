@@ -31,7 +31,14 @@ A fit that raises a ``QuantfuncError`` is recorded as its text.  Prints
 one line per differing case and a summary that counts the differing cases
 of each kind; exits 1 on any difference.  A differing regression quantile
 also says whether the simplex's own vertex is unchanged and whether the new
-objective is at most the old one.  Takes about 15 seconds.
+objective is at most the old one.  A differing R-fit, and each replicate
+whose slopes differ in a differing study, also gets the exact ``Fraction``
+dispersions of the old and the new slopes on the same data, computed under
+NEW_SRC.  At a non-unique optimum a change to the interior point's
+arithmetic may pick another vertex of the same check loss, to within the
+rounding of the slopes, and so move a study report without a fault:
+``MC_CONFIG`` at n = 100, replicate 100, is one such case.  Takes about 15
+seconds, and about 10 more when an R-fit or a study differs.
 """
 
 from __future__ import annotations
@@ -40,21 +47,41 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
+
+REPLICATE_SLOPES = "replicate slopes"  # emit's key for the studies' slopes, not a case
 
 
 def _hex(values) -> list:
     return [float(v).hex() for v in np.ravel(values)]
 
 
-def emit() -> dict:
+def _exact_dispersion(ds, lam: float, slopes: list) -> Fraction:
+    """``sum rho_lam(r_i - r_(k+1))``, k = floor(n lam), of ``r = y - X b`` at
+    the slopes b (float hex strings), in exact rational arithmetic."""
+    b = [Fraction(float.fromhex(v)) for v in slopes]
+    r = sorted(Fraction(float(yi)) - sum((Fraction(float(v)) * bj for v, bj in zip(xi, b)),
+                                         Fraction(0))
+               for yi, xi in zip(ds.y, ds.x))
+    t, lam = r[int(len(r) * lam)], Fraction(lam)
+    return sum((lam * (v - t) if v >= t else (lam - 1) * (v - t) for v in r), Fraction(0))
+
+
+def emit(losses: dict | None = None) -> dict:
+    """The cases, by name.  With ``losses``, which maps an R-fit's name, or
+    ``"<study> n=<n> rep=<rep>"``, to slope vectors, returns instead the
+    exact dispersion of each vector on that case's data, as a fraction
+    string."""
     import quantfunc as qf
     import quantfunc.regression as regression
 
-    out = {}
+    out, exact = {}, {}
 
     def r_fit(name, ds, lam):
+        if losses is not None and name in losses:
+            exact[name] = [str(_exact_dispersion(ds, lam, b)) for b in losses[name]]
         try:
             est = qf.fit_r_estimator(ds, lam)
         except qf.QuantfuncError as exc:
@@ -150,43 +177,89 @@ def emit() -> dict:
         n_grid=(100, 400), p=2, beta0=-1.0, beta=(0.5, 1.5), design="iid_normal",
         error_dist=sim.ErrorDistribution("shifted_exponential", 2.0), lam=0.5,
         replications=40, seed=7)
+    # Each replicate's slopes, in the order rate_study_r_estimator fits them.
+    fitted, fit_slopes, by_replicate = [], sim._fit_slopes, {}
+
+    def recording(y, x, lam):
+        for b, iterations in fit_slopes(y, x, lam):
+            fitted.append(_hex(b))
+            yield b, iterations
+
+    sim._fit_slopes = recording
     for name, cfg in studies.items():
-        reports = [*sim.rate_study_two_step(cfg), sim.rate_study_r_estimator(cfg),
-                   sim.functional_consistency_study(cfg, "cvar", 0.9)]
+        reports = sim.rate_study_two_step(cfg)
+        fitted.clear()
+        reports += [sim.rate_study_r_estimator(cfg),
+                    sim.functional_consistency_study(cfg, "cvar", 0.9)]
         out[name] = [r.to_json() for r in reports]
+        replicates = [(n, rep) for n in cfg.n_grid for rep in range(cfg.replications)]
+        by_replicate[name] = dict(zip((f"n={n} rep={rep}" for n, rep in replicates), fitted))
+        for n, rep in replicates:
+            key = f"{name} n={n} rep={rep}"
+            if losses is not None and key in losses:
+                ds = sim.generate(cfg, n, rep)[0]
+                exact[key] = [str(_exact_dispersion(ds, cfg.lam, b)) for b in losses[key]]
     # The slope study raises at p = 0.
     cfg = sim.SimulationConfig(
         n_grid=(50, 200), p=0, beta0=0.0, beta=(), design="iid_normal",
         error_dist=sim.ErrorDistribution("standard_normal"), replications=30, seed=11)
     out["study p=0 normal"] = [r.to_json() for r in [
         *sim.rate_study_two_step(cfg), sim.functional_consistency_study(cfg, "cvar", 0.9)]]
-    return out
+    out[REPLICATE_SLOPES] = by_replicate
+    return out if losses is None else exact
 
 
-def run_tree(src: str) -> dict:
+def run_tree(src: str, losses: dict | None = None) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--emit"],
-                          env=env, capture_output=True, text=True, check=False)
+                          env=env, capture_output=True, text=True, check=False,
+                          input=json.dumps(losses))
     if proc.returncode != 0:
         raise SystemExit(f"{src}: {proc.stderr.strip()}")
     return json.loads(proc.stdout)
 
 
+def _moved_slopes(old: dict, new: dict, differ: list, slopes: list) -> dict:
+    """The old and new slopes of each differing R-fit, and of each replicate
+    whose slopes differ in a differing study, by the name ``emit`` takes;
+    ``slopes`` holds the two trees' slopes by study and replicate."""
+    moved = {}
+    for key in differ:
+        pair = [v.get(key) for v in (old, new)]
+        if all(isinstance(v, dict) and "slopes" in v for v in pair):
+            moved[key] = [v["slopes"] for v in pair]
+        before, after = (v.get(key, {}) for v in slopes)
+        moved.update({f"{key} {rep}": [before[rep], after[rep]]
+                      for rep in before.keys() & after.keys() if before[rep] != after[rep]})
+    return moved
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--emit"]:
-        json.dump(emit(), sys.stdout)
+        json.dump(emit(json.load(sys.stdin)), sys.stdout)
         return 0
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     old, new = (run_tree(src) for src in argv)
+    slopes = [v.pop(REPLICATE_SLOPES) for v in (old, new)]
     differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    moved = _moved_slopes(old, new, differ, slopes)
+    exact = run_tree(argv[1], moved) if moved else {}
     for key in differ:
         print(f"DIFFERS {key}: {old.get(key)} != {new.get(key)}")
         if all(isinstance(v.get(key), dict) and "vertex" in v[key] for v in (old, new)):
             before, after = (float.fromhex(v[key]["objective"][0]) for v in (old, new))
             print(f"  vertex unchanged: {old[key]['vertex'] == new[key]['vertex']}; "
                   f"objective {before!r} -> {after!r}, not higher: {after <= before}")
+        if key.startswith("study ") and not any(k.startswith(f"{key} n=") for k in moved):
+            print("  no replicate's slopes moved")
+        for name in sorted(k for k in moved if k == key or k.startswith(f"{key} n=")):
+            before, after = (Fraction(v) for v in exact[name])
+            change = f"{float((after - before) / before):.1e}" if before else "undefined"
+            print(f"  {name[len(key):].strip() or 'slopes'} {moved[name][0]} -> {moved[name][1]}: "
+                  f"exact dispersion {float(before)!r} -> {float(after)!r}, equal: "
+                  f"{before == after}, relative change {change}, not higher: {after <= before}")
     iterations = sum(v["iterations"] for v in new.values()
                      if isinstance(v, dict) and "iterations" in v)
     kinds = {}

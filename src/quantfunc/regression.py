@@ -184,14 +184,6 @@ def _step(lowest: np.ndarray) -> np.ndarray:
     return -_IPM_STEP / np.minimum(lowest, -_IPM_STEP)
 
 
-def _weights(box: np.ndarray, zw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``d = 1 / (z / a + w / s)``, in ``out[1]``; out, of shape (2, B, n), is
-    overwritten."""
-    np.divide(zw, box, out=out)
-    np.add(out[0], out[1], out=out[1])
-    return np.divide(1.0, out[1], out=out[1])
-
-
 def _newton(x, d, solve, rp, g, work):
     """Primal direction ``da = d ((1, X) u - g)`` toward ``a z = (1 - a) w =
     mu``, keeping dual feasibility and closing the primal residual ``rp``,
@@ -207,86 +199,87 @@ def _newton(x, d, solve, rp, g, work):
     return g
 
 
-def _dual(box, zw, da, mp, work, out):
-    """Dual directions ``[dz, dw] = (mp - [a + da, s - da] [z, w]) / [a, s]``
-    into ``out``, with ``mp = [mpz, mpw]`` of :func:`_newton`, or 0 for the
-    predictor; mp may be out.  ``work``, of the shape of box, is
-    overwritten."""
-    np.add(box[0], da, out=work[0])
-    np.subtract(box[1], da, out=work[1])
-    work *= zw
-    np.subtract(mp, work, out=out)
-    out /= box
-
-
-def _steps(box, zw, da, dzw, work):
-    """Step lengths of the primal ``(a, s)`` and dual ``(z, w)`` along
-    ``(da, -da)`` and ``dzw = [dz, dw]``; ``work``, of the shape of box, is
-    overwritten by the four ratio passes."""
-    np.divide(da, box[0], out=work[0])
-    np.divide(da, box[1], out=work[1])
-    ap = _step(np.minimum(work[0].min(axis=1), -work[1].max(axis=1)))
-    np.divide(dzw, zw, out=work)
-    lowest = work.min(axis=2)
-    return ap, _step(np.minimum(lowest[0], lowest[1]))
-
-
 def _predictor_corrector(x, b, gap, state, work):
     """One Mehrotra predictor-corrector step of each problem of a batch, in
-    place on ``state = [a, s, z, w]``, of shape (4, B, n).  ``work``, of shape
-    (5, B, n), holds ``[dz, dw]``, a pair of scratch rows and ``g``, which
-    becomes ``da``.  d lives in the second scratch row while it is read; the
-    corrector computes it again, and g too, instead of keeping rows for
-    them."""
+    place on ``state = [a, s, z, w]``, of shape (4, B, n), ``s = 1 - a``.
+    ``work``, of shape (5, B, n), holds ``[dz, dw]``, the weights ``d = 1 /
+    (z / a + w / s)``, a scratch row and ``g``, which becomes ``da``.  d is
+    kept for the corrector; the corrector's primal ratios ``[da / a, da /
+    s]`` then take its row and the scratch row.
+
+    The dual directions are formed from the primal ratios.  The predictor's
+    are ``[dz, dw] = [-1 - da / a, da / s - 1] [z, w]``, so its dual step is
+    read from the extremes of the ratios, and the corrector's are ``[mpz /
+    a, mpw / s]`` plus the same terms of its own da."""
     box, zw = state[:2], state[2:]
     a, s, z, w = state
-    dzw, pair, g = work[:2], work[2:4], work[4]
+    dzw, d, spare, g = work[:2], work[2], work[3], work[4]
     dz, dw = dzw
-    d = _weights(box, zw, pair)
-    solve, rp = _normal_solver(x, d, g), b - _at(x, a)
+    np.divide(zw, box, out=dzw)
+    np.add(dz, dw, out=d)
+    np.divide(1.0, d, out=d)
+    solve, rp = _normal_solver(x, d, spare), b - _at(x, a)
     np.subtract(z, w, out=g)
-    da = _newton(x, d, solve, rp, g, pair[0])
-    _dual(box, zw, da, 0.0, pair, dzw)
-    ap, ad = _steps(box, zw, da, dzw, pair)
+    da = _newton(x, d, solve, rp, g, spare)
+    ratios = np.divide(da, box, out=dzw)
+    # ap takes the least of da / a and -da / s, ad of dw / w = da / s - 1 and
+    # dz / z = -da / a - 1; fl(u - 1) rises with u, so 1 comes off the least.
+    lowest = np.minimum(ratios.min(axis=2), -ratios.max(axis=2)[::-1])
+    lowest[1] -= 1.0
+    ap, ad = _step(lowest)
     centre = np.minimum(ap, ad) < 1.0
-    if centre.any():
-        # The affine gap (a + ap da)'(z + ad dz) + (s - ap da)'(w + ad dw).
-        move, to = pair
+    np.subtract(-1.0, dz, out=dz)
+    dz *= z
+    if not centre.any():
+        dw -= 1.0
+        dw *= w
+    else:
+        # The affine gap (a + ap da)'(z + ad dz) + (s - ap da)'(w + ad dw),
+        # in five rows: dw is formed after the first term, from da / s again,
+        # and da is spent on the last.
         ap_, ad_ = ap[:, None], ad[:, None]
-        np.multiply(ap_, da, out=move)
-        move += a
-        np.multiply(ad_, dz, out=to)
-        to += z
-        g_aff = np.einsum("bi,bi->b", move, to)
-        np.multiply(ap_, da, out=move)
-        np.subtract(s, move, out=move)
-        np.multiply(ad_, dw, out=to)
-        to += w
-        g_aff += np.einsum("bi,bi->b", move, to)
+        np.multiply(ad_, dz, out=spare)
+        spare += z
+        dz *= da
+        np.multiply(ap_, da, out=dw)
+        dw += a
+        g_aff = np.einsum("bi,bi->b", dw, spare)
+        np.divide(da, s, out=dw)
+        dw -= 1.0
+        dw *= w
+        np.multiply(ad_, dw, out=spare)
+        spare += w
+        dw *= da
+        da *= ap_
+        np.subtract(s, da, out=da)
+        g_aff += np.einsum("bi,bi->b", da, spare)
         # mu is cubed by libm's pow, one Python float at a time, as a
         # numpy scalar is; numpy's array power may take another pow.
         cube = np.array([ratio ** 3 for ratio in (g_aff / gap).tolist()])
         mu = (gap * cube / (2 * a.shape[1]))[:, None]
-        dz *= da  # [mpz, mpw] = [mu - da dz, mu + da dw], over [dz, dw]
-        dw *= da
-        np.subtract(mu, dz, out=dz)
+        np.subtract(mu, dz, out=dz)  # [mpz, mpw] = [mu - pz, mu + pw], over [dz, dw]
         np.add(mu, dw, out=dw)
         # A problem that takes the full predictor step keeps mu = pz = pw
-        # = 0, which makes its corrector the predictor again, bit for bit.
+        # = 0, which makes its corrector the predictor again, bit for bit;
+        # its dual ratios dz / z round apart from -1 - da / a, so it keeps
+        # the predictor's dual step.
         dzw[:, ~centre] = 0.0
-        np.divide(dzw, box, out=pair)
+        dzw /= box
         np.subtract(z, w, out=g)
-        g += pair[1]
-        g -= pair[0]
-        d = _weights(box, zw, pair)
-        da = _newton(x, d, solve, rp, g, pair[0])
-        _dual(box, zw, da, dzw, pair, dzw)
-        ap, ad = _steps(box, zw, da, dzw, pair)
+        g += dw
+        g -= dz
+        da = _newton(x, d, solve, rp, g, spare)
+        ratios = np.divide(da, box, out=work[2:4])
+        ap = _step(np.minimum(ratios[0].min(axis=1), -ratios[1].max(axis=1)))
+        np.subtract(-1.0, ratios[0], out=ratios[0])
+        ratios[1] -= 1.0
+        ratios *= zw
+        dzw += ratios  # [mpz / a, mpw / s] + [-1 - da / a, da / s - 1] [z, w]
+        ad = np.where(centre, _step(np.divide(dzw, zw, out=ratios).min(axis=(0, 2))), ad)
     da *= ap[:, None]
     a += da
     s -= da
-    dz *= ad[:, None]
-    dw *= ad[:, None]
+    dzw *= ad[:, None]
     zw += dzw
 
 
@@ -327,13 +320,14 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     solved alone; past numpy's einsum buffer, where a sum over a row depends
     on the batch, each problem is solved alone.
 
-    y and x are read in place and not copied: a study draws its batch once
-    into them.  Besides them the loop holds nine (B, n) float64 arrays, the
-    state ``[a, 1 - a, z, w]`` and the work rows of
-    :func:`_predictor_corrector`, and once some problems have stopped, the
-    live problems' rows of x; it peaks at about ten (B, n) arrays beyond y
-    and x (tracemalloc, p = 1, n = 100 to 1600).  Returns ``a`` and
-    ``w - z``, of shape (B, n), and the iterations, of shape (B,).
+    y and x are read in place and not copied.  Besides them the loop holds
+    nine (B, n) float64 arrays, the state ``[a, 1 - a, z, w]`` and the five
+    work rows of :func:`_predictor_corrector`, and once some problems have
+    stopped, the live problems' rows of x.  It peaks at 9.6 to 9.8 (B, n)
+    arrays beyond y and x for the study batches at n = 400 and 1600, and at
+    11.7 at n = 100, where numpy's fixed 64 KB ufunc buffers weigh more
+    (tracemalloc, p = 1).  Returns ``a`` and ``w - z``, of shape (B, n), and
+    the iterations, of shape (B,).
     """
     if y.shape[0] > 1 and y.shape[1] > _EINSUM_BUFFER:
         alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau) for k in range(y.shape[0])]

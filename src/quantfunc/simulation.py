@@ -38,10 +38,13 @@ COVERAGE_C = 5.0
 
 # Most responses (replicates times n) whose slopes are fitted in one batch.
 # A study peaks at about 14 float64 arrays of this size (tracemalloc, p = 1,
-# n = 100 to 1600, numpy 2.4), about 1.35 MB.  12288 is the largest budget
-# whose paired perfbench monte_carlo runs all kept the peak RSS within 1 % of
-# a 7168-element budget's; larger ones broke that or were no faster.
-_BATCH_ELEMENTS = 12288
+# n = 100 to 1600, numpy 2.4), about 1.8 MB.  At 16384 the 40 replicates of
+# perfbench's monte_carlo are one batch at n = 400 and four at n = 1600.  In
+# an in-process sweep of that operation, 16384 took 0.91 of 12288's time;
+# 20480, 24576 and 32768 were no faster (0.90 to 0.93) and peaked at 2.2 to
+# 3.6 MB.  Past 16384 a batch of two could pass numpy's einsum buffer, and
+# would be solved one problem at a time.
+_BATCH_ELEMENTS = 16384
 
 _STD_NORMAL = NormalDist()
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError, DomainError
 from .model import Dataset, StepQuantileProcess, order_index
 from .ranks import fit_r_estimator
 
@@ -45,11 +46,23 @@ class AveragedTwoStepProcess(StepQuantileProcess):
 
 
 def _residuals(ds: Dataset, lam: float, slopes) -> tuple[np.ndarray, np.ndarray]:
-    """The slopes as floats, fitted at ``lam`` when None, and ``y - X slopes``."""
+    """The slopes as floats, fitted at ``lam`` when None, and ``y - X slopes``,
+    which may overflow: each caller refuses what it cannot use.
+
+    A level outside (0, 1) raises :class:`DomainError`, and supplied slopes
+    of the wrong length or not finite raise :class:`DataError`, as on the
+    fitted path."""
+    if not 0.0 < lam < 1.0:
+        raise DomainError(f"lambda must be in (0, 1), got {lam}")
     if slopes is None:
         slopes = fit_r_estimator(ds, lam).beta_tilde if ds.p else np.zeros(0)
     slopes = np.asarray(slopes, dtype=float)
-    return slopes, ds.y - ds.x @ slopes
+    if slopes.shape != (ds.p,):
+        raise DataError(f"slopes must have length {ds.p}")
+    if not np.isfinite(slopes).all():
+        raise DataError(f"non-finite slopes {slopes.tolist()}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return slopes, ds.y - ds.x @ slopes
 
 
 def two_step_quantile(ds: Dataset, alpha: float, lam: float = 0.5,
@@ -60,6 +73,8 @@ def two_step_quantile(ds: Dataset, alpha: float, lam: float = 0.5,
     alpha levels (the slopes do not depend on alpha).
     """
     slopes, residuals = _residuals(ds, lam, slopes)
+    if not np.isfinite(residuals).all():
+        raise DataError(f"non-finite residuals at slopes {slopes.tolist()}")
     k = order_index(alpha, ds.n)
     intercept = float(np.partition(residuals, k - 1)[k - 1])
     return TwoStepQuantile(alpha=alpha, lam=lam, intercept=intercept, slopes=slopes)
@@ -76,7 +91,8 @@ def averaged_two_step_process(ds: Dataset, lam: float = 0.5,
     # Same arithmetic path as intercept + x_bar'slopes, so the order-statistic
     # identity between the two holds exactly in floating point.
     slopes, adjusted = _residuals(ds, lam, slopes)
-    adjusted += ds.x_mean @ slopes
+    with np.errstate(over="ignore", invalid="ignore"):  # the process refuses what overflows
+        adjusted += ds.x_mean @ slopes
     adjusted.sort()
     return AveragedTwoStepProcess(values=adjusted, lam=lam,
                                   nuisance_estimate=ds.y_mean, slopes=slopes)

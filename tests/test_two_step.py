@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantfunc import (Dataset, DataError, averaged_two_step_process,
+from quantfunc import (Dataset, DataError, DomainError, averaged_two_step_process,
                        centered_process, empirical_quantile_process, two_step_quantile)
 from quantfunc import model
 from quantfunc.model import StepQuantileProcess, order_index
@@ -96,6 +96,39 @@ class TestAveragedProcess:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(DataError, match="non-finite process values"):
             averaged_two_step_process(ds, 0.5, slopes=np.array([1e10]))
+
+
+class TestSuppliedSlopes:
+    """Supplied slopes and levels are checked as the fitted path checks them:
+    the two-step fits refuse what ``jaeckel_dispersion`` and
+    ``fit_r_estimator`` refuse, with the same error classes."""
+
+    FITS = [lambda ds, lam, b: two_step_quantile(ds, 0.5, lam, slopes=b),
+            lambda ds, lam, b: averaged_two_step_process(ds, lam, slopes=b)]
+    IDS = ["two_step_quantile", "averaged_two_step_process"]
+
+    @pytest.mark.parametrize("fit", FITS, ids=IDS)
+    @pytest.mark.parametrize("slopes,match", [
+        ([1.0], "length 2"), ([1.0, 2.0, 3.0], "length 2"), ([[1.0, 2.0]], "length 2"),
+        ([np.nan, 1.0], "non-finite slopes"), ([np.inf, 1.0], "non-finite slopes"),
+        ([1.0, -np.inf], "non-finite slopes"), ([1e308, 1e308], "non-finite")])
+    def test_bad_slopes_raise_data_error(self, fit, slopes, match):
+        ds = random_dataset(np.random.default_rng(28), 20, 2)
+        with pytest.raises(DataError, match=match):
+            fit(ds, 0.5, slopes)
+
+    @pytest.mark.parametrize("fit", FITS, ids=IDS)
+    @pytest.mark.parametrize("lam", [2.0, -1.0, 0.0, 1.0, np.nan])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_a_level_outside_the_unit_interval_raises_domain_error(self, fit, lam, p):
+        ds = random_dataset(np.random.default_rng(29), 20, p)
+        with pytest.raises(DomainError, match="lambda must be in"):
+            fit(ds, lam, np.ones(p))
+
+    @pytest.mark.parametrize("fit", FITS, ids=IDS)
+    def test_good_slopes_as_a_list_fit(self, fit):
+        ds = random_dataset(np.random.default_rng(30), 20, 2)
+        assert np.array_equal(fit(ds, 0.37, [0.5, -1.0]).slopes, [0.5, -1.0])
 
 
 class TestCenteredProcess:
