@@ -8,7 +8,9 @@ strings:
 
 - R-estimator slopes, dispersions and iteration counts at n = 2e4 for
   p = 1, 2, 5 (the ``fit_large`` datasets), on the Monte Carlo designs at
-  n = 100, 400, 1600, and on small random and tied datasets;
+  n = 100, 400, 1600, on small random and tied datasets, and past the
+  preprocessing threshold on tied integer data at n = 2000, p = 3 and on
+  1e5 continuous rows at p = 3;
 - dispersions at fixed slopes, tied residuals included;
 - two-step intercepts on a grid of levels, at the true slopes;
 - the averaged two-step process and its centred form on the ``fit_large``
@@ -29,16 +31,17 @@ strings:
 
 A fit that raises a ``QuantfuncError`` is recorded as its text.  Prints
 one line per differing case and a summary that counts the differing cases
-of each kind; exits 1 on any difference.  A differing regression quantile
+of each kind, and among them the R-fits that differ in their iteration
+counts only; exits 1 on any difference.  A differing regression quantile
 also says whether the simplex's own vertex is unchanged and whether the new
 objective is at most the old one.  A differing R-fit, and each replicate
 whose slopes differ in a differing study, also gets the exact ``Fraction``
 dispersions of the old and the new slopes on the same data, computed under
-NEW_SRC.  At a non-unique optimum a change to the interior point's
-arithmetic may pick another vertex of the same check loss, to within the
-rounding of the slopes, and so move a study report without a fault:
-``MC_CONFIG`` at n = 100, replicate 100, is one such case.  Takes about 15
-seconds, and about 10 more when an R-fit or a study differs.
+NEW_SRC, when the slopes moved.  At a non-unique optimum a change to the
+interior point's arithmetic may pick another vertex of the same check loss,
+to within the rounding of the slopes, and so move a study report without a
+fault: ``MC_CONFIG`` at n = 100, replicate 100, is one such case.  Takes
+about 15 seconds, and about 10 more when an R-fit or a study differs.
 """
 
 from __future__ import annotations
@@ -128,6 +131,12 @@ def emit(losses: dict | None = None) -> dict:
         r_fit(f"tied s={s}", tied, lam)
         for t, b in enumerate(rng.choice([-1.0, 0.0, 0.5, 1.0], size=(4, p))):
             out[f"dispersion s={s} b={t}"] = _hex([qf.jaeckel_dispersion(b, tied, lam)])
+    rng = np.random.default_rng(8)
+    r_fit("tied n=2000 p=3", qf.Dataset(y=rng.integers(0, 5, 2000).astype(float),
+                                        x=rng.integers(0, 4, (2000, 3)).astype(float)), 0.5)
+    x = rng.uniform(0.0, 1.0, (100_000, 3))
+    r_fit("large n=1e5 p=3", qf.Dataset(y=1.0 + x.sum(axis=1) + rng.standard_normal(100_000),
+                                        x=x), 0.5)
 
     vertices = []
     solve = regression.solve_simplex
@@ -226,12 +235,20 @@ def _moved_slopes(old: dict, new: dict, differ: list, slopes: list) -> dict:
     moved = {}
     for key in differ:
         pair = [v.get(key) for v in (old, new)]
-        if all(isinstance(v, dict) and "slopes" in v for v in pair):
+        if all(isinstance(v, dict) and "slopes" in v for v in pair) \
+                and pair[0]["slopes"] != pair[1]["slopes"]:
             moved[key] = [v["slopes"] for v in pair]
         before, after = (v.get(key, {}) for v in slopes)
         moved.update({f"{key} {rep}": [before[rep], after[rep]]
                       for rep in before.keys() & after.keys() if before[rep] != after[rep]})
     return moved
+
+
+def _iterations_only(before, after) -> bool:
+    """Whether two R-fit records differ in their iteration counts alone."""
+    return (all(isinstance(v, dict) and "iterations" in v for v in (before, after))
+            and {k: v for k, v in before.items() if k != "iterations"}
+            == {k: v for k, v in after.items() if k != "iterations"})
 
 
 def main(argv: list[str]) -> int:
@@ -246,8 +263,10 @@ def main(argv: list[str]) -> int:
     differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
     moved = _moved_slopes(old, new, differ, slopes)
     exact = run_tree(argv[1], moved) if moved else {}
+    iterations_only = [key for key in differ if _iterations_only(old.get(key), new.get(key))]
     for key in differ:
-        print(f"DIFFERS {key}: {old.get(key)} != {new.get(key)}")
+        print(f"DIFFERS {key}: {old.get(key)} != {new.get(key)}"
+              + (" (iterations only)" if key in iterations_only else ""))
         if all(isinstance(v.get(key), dict) and "vertex" in v[key] for v in (old, new)):
             before, after = (float.fromhex(v[key]["objective"][0]) for v in (old, new))
             print(f"  vertex unchanged: {old[key]['vertex'] == new[key]['vertex']}; "
@@ -264,12 +283,15 @@ def main(argv: list[str]) -> int:
                      if isinstance(v, dict) and "iterations" in v)
     kinds = {}
     for key in sorted(old.keys() | new.keys()):
-        kind = "R-fit" if key.split()[0] in ("fit_large", "monte_carlo", "random", "tied") \
-            else key.split()[0]
-        kinds.setdefault(kind, [0, 0])[0] += 1
-        kinds[kind][1] += key in differ
+        kind = "R-fit" if key.split()[0] in ("fit_large", "monte_carlo", "random", "tied",
+                                             "large") else key.split()[0]
+        counts = kinds.setdefault(kind, [0, 0, 0])
+        counts[0] += 1
+        counts[1] += key in differ
+        counts[2] += key in iterations_only
     print(f"{len(old.keys() | new.keys())} cases, {len(differ)} differ ("
-          + ", ".join(f"{kind} {d} of {c}" for kind, (c, d) in kinds.items())
+          + ", ".join(f"{kind} {d} of {c}" + (f", {i} in iterations only" if i else "")
+                      for kind, (c, d, i) in kinds.items())
           + f"); {iterations} iterations in the new tree's R-fits")
     return 1 if differ else 0
 

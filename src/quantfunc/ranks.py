@@ -48,10 +48,11 @@ def jaeckel_dispersion(b, ds: Dataset, lam: float) -> float:
         raise DataError(f"b must have length {ds.p}")
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must be in (0, 1), got {lam}")
-    r = ds.y - ds.x @ b
     # k < n: lambda <= 1 - 2**-53, so n*lambda rounds below n for n < 2**53
-    k = int(r.shape[0] * lam)
-    d = float(check_loss_vec(r - np.partition(r, k)[k], lam).sum())
+    k = int(ds.n * lam)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        r = ds.y - ds.x @ b
+        d = float(check_loss_vec(r - np.partition(r, k)[k], lam).sum())
     if not math.isfinite(d):
         raise DataError(f"non-finite dispersion at b = {b.tolist()}")
     return d
@@ -63,7 +64,9 @@ def fit_r_estimator(ds: Dataset, lam: float = 0.5) -> REstimate:
     The dispersion is ``min_c sum rho_lam(y_i - c - x_i'b)``, so the
     minimizer is the slope part of a vertex of that LP, certified by its
     duality gap, or :class:`SolverFailure`.  ``iterations`` counts the
-    interior-point iterations plus the vertex pivots.
+    interior-point iterations plus the vertex pivots: from 1000 rows on,
+    those of the subsample's and the band's solves, plus those of the full
+    solve when their vertex is not certified.
     """
     [(b, iterations)] = _fit_slopes(ds.y[None], ds.x[None], lam)
     return REstimate(lam=lam, beta_tilde=b, dispersion=jaeckel_dispersion(b, ds, lam),

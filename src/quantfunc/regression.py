@@ -8,7 +8,10 @@ Two solvers minimize ``sum_i rho_alpha(y_i - b0 - x_i'b)``; both end in
   return the same vertex.
 - :func:`_certified_vertices`, which the R-estimator uses, runs the
   Frisch-Newton interior point :func:`_interior_point` over a batch of
-  problems of one n and p.
+  problems of one n and p.  From ``_BAND_ROWS`` rows on it first solves a
+  subsample and a band of rows around the quantile (Portnoy and Koenker
+  1997, Stat. Sci., section 5), certified on all rows, and solves all rows
+  only for a problem that stage does not certify.
 
 Either solver's duals ``d`` in ``[alpha - 1, alpha]`` give the lower bound
 ``d'r`` on the check loss.  The vertex is solved from the raw data through q
@@ -19,6 +22,7 @@ at that bound; otherwise it pivots, or raises :class:`SolverFailure`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +36,20 @@ RESIDUAL_ZERO_TOL = 1e-9
 _IPM_STEP = 0.99995     # fraction of the step to the boundary of the box
 _IPM_RTOL = 1e-11       # the interior point stops at this gap, relative to the loss
 _IPM_MAX_ITER = 100
+# The subsample's interior point only places the band: stopped at 1e-2 of its
+# loss, the study batches' banded fits took 0.85 of the time they took at
+# _IPM_RTOL (in-process, interleaved, n = 1000 and 1600), and no more of
+# 1392 problems fell back (17 against 16; 25 at 1e-1).
+_SUBSAMPLE_RTOL = 1e-2
 _VERTEX_RTOL = 1e-9     # a vertex is certified within this of the dual bound
 _EINSUM_BUFFER = 8192   # numpy's einsum buffer: past it a sum depends on the batch
+# R-fits of this many rows or more first solve a subsample and a band (see
+# _banded_vertices).  In two in-process sweeps of study batches, interleaved
+# with the full solve, that stage took 1.10 times as long at 80 x 200 rows,
+# 0.95 to 0.98 at 40 x 400 and 0.90 to 1.02 at 20 x 800, but 0.81 to 0.86 at
+# 20 x 1000 and 0.66 to 0.71 at 20 x 1600: 1000 is the least size at which
+# it gained in every sweep.
+_BAND_ROWS = 1000
 
 
 @dataclass(frozen=True)
@@ -301,18 +317,24 @@ def _certify(y: np.ndarray, x: np.ndarray, tau: float, d: np.ndarray, coef: np.n
     return r, loss, gap, gap <= _VERTEX_RTOL * loss + floor
 
 
-def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
+def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, rhs: np.ndarray | None = None,
+                    rtol: float = _IPM_RTOL):
     """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.) on
     the check-loss LPs of a batch of B problems of one n and p, the responses
     y of shape (B, n) and the designs x (B, n, p).
 
     Mehrotra's predictor-corrector for ``max y_b'a`` subject to
-    ``(1, X_b)'a = (1 - tau)(1, X_b)'1``, ``0 <= a <= 1``.  With z, w the bound
+    ``(1, X_b)'a = rhs_b``, ``0 <= a <= 1``, where ``rhs``, of shape (B, q),
+    is ``(1 - tau)(1, X_b)'1`` unless given.  With z, w the bound
     multipliers, ``w - z`` is the residual and ``tau sum w + (1 - tau) sum z``
-    its check loss; the gap ``a'z + (1 - a)'w`` stops at ``_IPM_RTOL`` of that
+    its check loss; the gap ``a'z + (1 - a)'w`` stops at ``rtol`` of that
     loss (unmoved by a shift of y) plus the problem's floor (see
-    :func:`_floor`).  The start is the least-squares fit, so an exact fit,
-    a zero response among them, stops at once with gap 0.  Each problem has
+    :func:`_floor`).  The start is ``a = 1 - tau`` and the least-squares
+    fit, so an exact fit, a zero response among them, stops at once with gap
+    0.  That start is feasible unless ``rhs`` is given; then a problem also
+    stops only once each term of its primal residual ``rhs - (1, X)'a`` is
+    within ``_IPM_RTOL`` of its scale ``|rhs| + |(1, X)|'1``, or when its
+    gap is 0 or NaN, where it cannot move.  Each problem has
     its own step lengths, centring and stopping test, and leaves the batch
     when it stops.  With a |y| near the top of the float range, ``w / s``
     may overflow: its weight is then 0, its limit.  Every operation reads one
@@ -324,17 +346,22 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
     nine (B, n) float64 arrays, the state ``[a, 1 - a, z, w]`` and the five
     work rows of :func:`_predictor_corrector`, and once some problems have
     stopped, the live problems' rows of x.  It peaks at 9.6 to 9.8 (B, n)
-    arrays beyond y and x for the study batches at n = 400 and 1600, and at
-    11.7 at n = 100, where numpy's fixed 64 KB ufunc buffers weigh more
-    (tracemalloc, p = 1).  Returns ``a`` and ``w - z``, of shape (B, n), and
-    the iterations, of shape (B,).
+    arrays beyond y and x for the study batch at n = 400, and at 11.7 at
+    n = 100, where numpy's fixed 64 KB ufunc buffers weigh more (tracemalloc,
+    p = 1).  Returns ``a`` and ``w - z``, of shape (B, n), and the
+    iterations, of shape (B,).
     """
     if y.shape[0] > 1 and y.shape[1] > _EINSUM_BUFFER:
-        alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau) for k in range(y.shape[0])]
+        alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau,
+                                 None if rhs is None else rhs[k:k + 1], rtol)
+                 for k in range(y.shape[0])]
         return tuple(map(np.concatenate, zip(*alone)))
     floor, shape = _floor(y, x), y.shape
     ones = np.ones(shape)
-    b = (1.0 - tau) * _at(x, ones)
+    if rhs is None:
+        b, primal = (1.0 - tau) * _at(x, ones), None
+    else:  # the start a = 1 - tau is not feasible: the residual must close too
+        b, primal = rhs, _IPM_RTOL * (np.abs(rhs) + _at(np.abs(x), ones))
     state = np.empty((4,) + shape)
     state[0], state[1] = 1.0 - tau, tau
     r = _a(x, _normal_solver(x, ones)(_at(x, y)), out=state[2])
@@ -353,7 +380,10 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
                    + np.einsum("bi,bi->b", state[1], state[3]))
             sums = state[2:].sum(axis=2)
             loss = tau * sums[1] + (1.0 - tau) * sums[0]
-            stop = (gap <= _IPM_RTOL * loss + floor) | (iterations == _IPM_MAX_ITER)
+            stop = gap <= rtol * loss + floor
+            if primal is not None:  # or its gap is 0 or NaN, where it cannot move
+                stop &= (np.abs(b - _at(x, state[0])) <= primal).all(axis=1) | ~(gap > 0.0)
+            stop |= iterations == _IPM_MAX_ITER
             if stop.any():
                 work = None  # freed before the rows that stop are copied out
                 found.append((live[stop], state[0][stop], state[3][stop] - state[2][stop],
@@ -362,6 +392,8 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float):
                     break
                 go = ~stop
                 live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
+                if primal is not None:
+                    primal = primal[go]
                 state = np.compress(go, state, axis=1)  # C order, unlike state[:, go]
                 work = np.empty((5,) + state.shape[1:])
             _predictor_corrector(x, b, gap, state, work)
@@ -377,17 +409,130 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     of each problem of a batch of one n and p, the responses y of shape (B, n)
     and the designs x (B, n, p), solved as one batch.
 
+    From n = ``_BAND_ROWS`` on, while the band of :func:`_solved_rows` is
+    narrower than n, each problem is first solved on a subsample and a band
+    of its rows (:func:`_banded_vertices`).  A problem that stage does not
+    certify goes on to :func:`_full_vertices`, unchanged, in chunks of no
+    more rows than the band solve held.  Yields, in batch order, the
+    coefficients and the iterations plus pivots of each problem, of every
+    solve it went through, or raises :class:`SolverFailure` at the first
+    problem with no certified vertex.
+    """
+    batch, n, tau = y.shape[0], y.shape[1], _level(tau, y.shape[1])
+    rows = _solved_rows(n, x.shape[2] + 1)
+    if rows == n:
+        yield from _full_vertices(y, x, tau)
+        return
+    with np.errstate(all="ignore"):  # an infeasible band's iterates overflow or turn to NaN
+        coef, certified, iterations = _banded_vertices(y, x, tau, rows // 2)
+    rest, size = np.flatnonzero(~certified), _chunk(batch, rows, n)
+    chunks = (rest[k:k + size] for k in range(0, rest.size, size))
+    full = (fit for chunk in chunks for fit in _full_vertices(y[chunk], x[chunk], tau))
+    for k in range(batch):
+        b, more = (coef[k], 0) if certified[k] else next(full)
+        yield b, more + int(iterations[k])
+
+
+def _solved_rows(n: int, q: int) -> int:
+    """The rows of the largest LP a fit of n rows and q coefficients solves:
+    n, or from n = ``_BAND_ROWS`` on the band of 2m rows around rank n tau,
+    m = ceil((q n)^(2/3)) (Portnoy and Koenker 1997, Stat. Sci., section 5),
+    while it is narrower than n."""
+    band = 2 * math.ceil((q * n) ** (2.0 / 3.0))
+    return band if n >= _BAND_ROWS and band < n else n
+
+
+def _chunk(batch: int, rows: int, n: int) -> int:
+    """The problems of n rows taken at once so that they hold no more rows
+    than a batch's solves of ``rows`` rows each; one past numpy's einsum
+    buffer, where a sum over a row depends on the batch."""
+    return 1 if n > _EINSUM_BUFFER else max(1, batch * rows // n)
+
+
+def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
+    """Portnoy and Koenker's preprocessing of each problem of a batch at level
+    tau: the coefficients (B, q), whether each is certified, and the
+    iterations (B,) of its two interior points.
+
+    The fit of a subsample of m rows (:func:`_subsample_fit`) ranks every
+    row's residual.  The rows of the 2m ranks around n tau form the band;
+    the rows below it are fixed at ``a = 0`` and those above at ``a = 1``,
+    so the band's LP has the right-hand side ``(1, X)'((1 - tau) 1 -
+    1_above)``.  Its first vertex is certified on all n rows by
+    :func:`_certify`, with ``d = tau - 1`` below the band and ``tau`` above
+    it, so a fixed row on the wrong side of the vertex fails the
+    certificate.  A problem is not certified when the band's lead rows are
+    dependent, its band LP does not converge (it may be infeasible, or its
+    iterates not finite) or its vertex fails the certificate.
+
+    Every step reads one problem's rows alone, so a problem gets the bits it
+    gets when solved alone.  The ranks, right-hand sides and certificates
+    are taken in chunks of no more rows than the band, so beyond y and x
+    the stage holds a (B, n) mask of the rows above the band, the band's
+    rows and its interior point.
+    """
+    batch, n = y.shape
+    coef, iterations = _subsample_fit(y, x, tau, m)
+    lo = min(max(int(n * tau) - m, 0), n - 2 * m)
+    hi, size = lo + 2 * m, _chunk(batch, 2 * m, n)
+    chunks = [slice(k, k + size) for k in range(0, batch, size)]
+    band, above = np.empty((batch, 2 * m), dtype=np.intp), np.zeros((batch, n), dtype=bool)
+    rhs = np.empty(coef.shape)
+    for k in chunks:
+        ranked = np.argpartition(y[k] - _a(x[k], coef[k]), (lo, hi - 1), axis=1)
+        band[k] = np.sort(ranked[:, lo:hi], axis=1)
+        np.put_along_axis(above[k], ranked[:, hi:], True, axis=1)
+        rhs[k] = _at(x[k], np.where(above[k], -tau, 1.0 - tau))
+    del ranked
+    rows = np.arange(batch)[:, None]
+    yb, xb = y[rows, band], x[rows, band]
+    a, r, more = _interior_point(yb, xb, tau, rhs)
+    coef, _, independent = _lead_vertices(yb, xb, a, r)
+    certified = independent & (more < _IPM_MAX_ITER)
+    for k in chunks:
+        d = np.where(above[k], tau, tau - 1.0)
+        np.put_along_axis(d, band[k], np.clip(a[k], 0.0, 1.0) - (1.0 - tau), axis=1)
+        certified[k] &= _certify(y[k], x[k], tau, d, coef[k])[3]
+    return coef, certified, iterations + more
+
+
+def _subsample_fit(y: np.ndarray, x: np.ndarray, tau: float, m: int):
+    """The coefficients (B, q) of each problem of a batch fitted on its m rows
+    ``(arange(m) n) // m``, and the interior point's iterations (B,): the
+    least-squares solve of ``(1, X) u = y - (w - z)``, the interior point's
+    dual iterate at a gap within ``_SUBSAMPLE_RTOL`` of its loss, which needs
+    no rank test of lead rows."""
+    sub = (np.arange(m) * y.shape[1]) // m
+    ys, xs = y[:, sub], x[:, sub]
+    _, r, iterations = _interior_point(ys, xs, tau, rtol=_SUBSAMPLE_RTOL)
+    return _normal_solver(xs, np.ones(ys.shape))(_at(xs, ys - r)), iterations
+
+
+def _lead_vertices(y: np.ndarray, x: np.ndarray, a: np.ndarray, r: np.ndarray):
+    """The first vertex (B, q) of each problem of a batch, solved through the
+    q lead rows (B, q) of :func:`_lead`, those rows, and whether they are
+    independent; a problem whose rows are dependent gets a placeholder
+    vertex."""
+    q = x.shape[2] + 1
+    rows, lead = np.arange(y.shape[0])[:, None], _lead(a, r, q)
+    sub = _augmented(x[rows, lead])
+    independent = np.linalg.matrix_rank(sub) == q
+    sub[~independent] = np.eye(q)
+    return np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0], lead, independent
+
+
+def _full_vertices(y: np.ndarray, x: np.ndarray, tau: float):
+    """The certified vertices of a batch at level tau (see
+    :func:`_certified_vertices`), every problem's LP solved on all its rows.
+
     A vertex interpolates q independent observations ranked by how far the
     interior point's ``a_i`` lie from {0, 1}, then by ``|residual|``, then by
     index.  It is certified by :func:`_certify` against the dual bound
-    ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``, all at tau's :func:`_level`.
-    The batch ranks every problem's observations, tests the rank of its q
-    lead rows and solves, prices and certifies its first vertex in stacked
-    calls.  Only a problem whose lead rows are dependent or whose first
-    vertex is not certified goes on alone, to :func:`_vertex`.  Each
-    ``(1, X)`` must have full rank.  Yields, in batch order, the
-    coefficients and the iterations plus pivots of each problem, or raises
-    :class:`SolverFailure` at the first problem with no certified vertex.
+    ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``.  The batch ranks every
+    problem's observations, tests the rank of its q lead rows and solves,
+    prices and certifies its first vertex in stacked calls.  Only a problem
+    whose lead rows are dependent or whose first vertex is not certified
+    goes on alone, to :func:`_vertex`.  Each ``(1, X)`` must have full rank.
 
     y and x are read in place and not copied, so a study batch is held once.
     After the interior point, the batch holds ``a``, ``w - z``, d and, while
@@ -396,16 +541,11 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     beyond y and x at the peak, below the interior point's for p <= 3
     (tracemalloc).
     """
-    batch, q, tau = y.shape[0], x.shape[2] + 1, _level(tau, y.shape[1])
     a, r_ipm, iterations = _interior_point(y, x, tau)
     d = np.clip(a, 0.0, 1.0) - (1.0 - tau)
-    rows, lead = np.arange(batch)[:, None], _lead(a, r_ipm, q)
-    sub = _augmented(x[rows, lead])
-    independent = np.linalg.matrix_rank(sub) == q
-    sub[~independent] = np.eye(q)  # placeholders: these problems go on alone
-    coef = np.linalg.solve(sub, y[rows, lead][:, :, None])[:, :, 0]
+    coef, lead, independent = _lead_vertices(y, x, a, r_ipm)
     certified = independent & _certify(y, x, tau, d, coef)[3]
-    for k in range(batch):
+    for k in range(y.shape[0]):
         if certified[k]:
             yield coef[k], int(iterations[k])
         else:

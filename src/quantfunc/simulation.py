@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Dataset, _write_csv, order_index
 from .ranks import _fit_slopes
+from .regression import _solved_rows
 from .two_step import averaged_two_step_process, centered_process
 from . import functionals as fn
 
@@ -36,14 +37,16 @@ STUDY_FUNCTIONALS = fn.FUNCTIONALS[:2]
 # Sup-deviation threshold c in the coverage fraction P(sup-deviation < c / sqrt(n)).
 COVERAGE_C = 5.0
 
-# Most responses (replicates times n) whose slopes are fitted in one batch.
-# A study peaks at about 14 float64 arrays of this size (tracemalloc, p = 1,
-# n = 100 to 1600, numpy 2.4), about 1.8 MB.  At 16384 the 40 replicates of
-# perfbench's monte_carlo are one batch at n = 400 and four at n = 1600.  In
-# an in-process sweep of that operation, 16384 took 0.91 of 12288's time;
-# 20480, 24576 and 32768 were no faster (0.90 to 0.93) and peaked at 2.2 to
-# 3.6 MB.  Past 16384 a batch of two could pass numpy's einsum buffer, and
-# would be solved one problem at a time.
+# The most rows one interior point of a study solves, and half the most
+# responses a batch of replicates holds (see _replicates): 163 replicates at
+# n = 100, 40 at n = 400 and 20 at n = 1600, whose fits solve a band of 436
+# rows each.  rate_study_two_step on perfbench's monte_carlo configuration
+# peaks at 1.50 MB (11.5 float64 arrays of this size, tracemalloc, numpy
+# 2.4), at n = 400, and at 11.3 arrays at n = 1600.  In-process, over 20
+# interleaved rounds of that operation, batches of 20 at n = 1600 took 0.85
+# of the time of batches of 10; batches of 40 took 0.77 but peaked at
+# 2.86 MB.  No batch of two or more solves over 8192 rows, numpy's einsum
+# buffer, past which a problem is solved alone.
 _BATCH_ELEMENTS = 16384
 
 _STD_NORMAL = NormalDist()
@@ -246,28 +249,34 @@ def _replicates(config: SimulationConfig, n: int, measure, errors=None) -> list:
     """``measure(ds, e, slopes)`` of each replicate at sample size n, in
     replicate order, with ``e = errors(z)`` of its hidden errors z, or None.
 
-    Each replicate is drawn by :func:`generate`, a batch at a time, and the
-    slopes of a batch are fitted on its stacked responses (B, n) and designs
-    (B, n, p), each the bits of a lone :func:`fit_r_estimator`.  ``errors``
-    reads z as it is drawn, so that a batch holds no errors while it is
-    fitted.  ``measure`` keeps no dataset, so one batch is freed before the
-    next is drawn.  The studies read only the slopes, so no dispersion is
-    computed.
+    Each replicate is drawn by :func:`generate`, a batch at a time, and
+    copied into the batch's responses (B, n) and designs (B, n, p), whose
+    slopes are fitted together, each the bits of a lone
+    :func:`fit_r_estimator`.  A batch holds at most twice
+    ``_BATCH_ELEMENTS`` responses, and its interior point solves at most
+    ``_BATCH_ELEMENTS`` rows (see :func:`regression._solved_rows`).
+    ``errors`` reads z as it is drawn, so that a batch holds no errors while
+    it is fitted, and ``measure`` gets a :class:`Dataset` of one replicate's
+    rows at a time, so a batch is held once.  The studies read only the
+    slopes, so no dispersion is computed.
     """
-    size, measured = max(1, _BATCH_ELEMENTS // n), []
+    size = max(1, min(2 * _BATCH_ELEMENTS // n,
+                      _BATCH_ELEMENTS // _solved_rows(n, config.p + 1)))
+    size = min(size, config.replications)
+    y, x, measured = np.empty((size, n)), np.empty((size, n, config.p)), []
     for start in range(0, config.replications, size):
-        datasets, hidden = [], []
-        for rep in range(start, min(start + size, config.replications)):
-            ds, z = generate(config, n, rep)
-            datasets.append(ds)
+        count, hidden = min(size, config.replications - start), []
+        for k in range(count):
+            ds, z = generate(config, n, start + k)
+            y[k], x[k] = ds.y, ds.x
             hidden.append(None if errors is None else errors(z))
+        del ds, z
         if config.p:
-            slopes = [b for b, _ in _fit_slopes(np.stack([ds.y for ds in datasets]),
-                                                np.stack([ds.x for ds in datasets]),
-                                                config.lam)]
+            slopes = [b for b, _ in _fit_slopes(y[:count], x[:count], config.lam)]
         else:
-            slopes = [np.zeros(0)] * len(datasets)
-        measured.extend(map(measure, datasets, hidden, slopes))
+            slopes = [np.zeros(0)] * count
+        measured.extend(measure(Dataset(y=y[k], x=x[k]), e, b)
+                        for k, (e, b) in enumerate(zip(hidden, slopes)))
     return measured
 
 

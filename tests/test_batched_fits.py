@@ -105,7 +105,8 @@ def duplicated_set():
 @pytest.mark.parametrize("config", [MC_CONFIG, BENCH_CONFIG, P3_CONFIG],
                          ids=["criteria_6_to_8", "bench_monte_carlo", "p3_cube_lam037"])
 def test_each_replicate_is_its_lone_fit_bit_for_bit(config, monkeypatch):
-    batches, sizes = [], []
+    batches, sizes, solved = [], [], []
+    interior_point = regression._interior_point
 
     def recording(y, x, lam):
         fits = list(_fit_slopes(y, x, lam))
@@ -113,23 +114,35 @@ def test_each_replicate_is_its_lone_fit_bit_for_bit(config, monkeypatch):
         sizes.append(y.size)
         return fits
 
+    def solving(y, *args, **kwargs):
+        solved.append(y.size)
+        return interior_point(y, *args, **kwargs)
+
     monkeypatch.setattr(simulation, "_fit_slopes", recording)
+    monkeypatch.setattr(regression, "_interior_point", solving)
     rate_study_r_estimator(config)
+    monkeypatch.setattr(regression, "_interior_point", interior_point)
     got = [([v.hex() for v in b], iterations) for batch in batches for b, iterations in batch]
     want = [bits(fit_r_estimator(generate(config, n, rep)[0], config.lam))
             for n in config.n_grid for rep in range(config.replications)]
     want = [(slopes, iterations) for slopes, _, iterations in want]
     assert len(batches) > len(config.n_grid)  # the study did fit in batches
     assert max(len(batch) for batch in batches) > 1
-    assert max(sizes) <= simulation._BATCH_ELEMENTS
+    # A batch holds at most twice the budget of responses, and one interior
+    # point solves at most the budget of rows.
+    assert max(sizes) <= 2 * simulation._BATCH_ELEMENTS
+    assert max(solved) <= simulation._BATCH_ELEMENTS
     assert got == want
 
 
-def test_two_datasets_at_the_einsum_buffer_size_fit_as_their_lone_fits():
+@pytest.mark.parametrize("n", [8192, 12000])
+def test_two_datasets_at_the_einsum_buffer_size_fit_as_their_lone_fits(n):
     # n = 8192 is the largest n solved as one batch; a study batch with
-    # B >= 2 has n <= _BATCH_ELEMENTS / 2, so it is never split.
+    # B >= 2 solves at most _BATCH_ELEMENTS / 2 rows per problem, so its
+    # interior point is never split.  At n = 12000 each fit solves a band,
+    # but the band's right-hand side and certificate sum over all n rows.
     assert simulation._BATCH_ELEMENTS // 2 <= 8192
-    datasets = [generate(BENCH_CONFIG, 8192, rep)[0] for rep in range(2)]
+    datasets = [generate(BENCH_CONFIG, n, rep)[0] for rep in range(2)]
     assert batch_bits(datasets, 0.5) == [bits(fit_r_estimator(ds, 0.5)) for ds in datasets]
 
 
@@ -413,9 +426,9 @@ def traced_peak(config):
 
 def test_study_memory_follows_the_batch_size_not_the_replications():
     rate_study_two_step(replace(BENCH_CONFIG, replications=2))  # lazy imports and caches
-    # The study peaks at 13.8 float64 arrays of the batch budget (numpy 2.4):
-    # each batch's datasets and their stacked copies are 4 of them.  16 leaves
-    # 16 % for other numpy versions.
+    # The study peaks at 11.5 float64 arrays of the batch budget (numpy 2.4),
+    # at n = 400, and at 11.3 at n = 1600, where a batch of 20 replicates,
+    # held once, is 3.9 of them.  16 leaves 39 % for other numpy versions.
     assert traced_peak(BENCH_CONFIG) <= 16 * 8 * simulation._BATCH_ELEMENTS
     # 200 replications fill the largest batch at every n, as 400 do; 100
     # leave the n = 100 batch short of the budget.

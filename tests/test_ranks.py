@@ -166,11 +166,13 @@ class TestJaeckelDispersion:
         assert jaeckel_dispersion(b, ds, lam) == pytest.approx(
             oracle_dispersion(b, ds, lam), rel=1e-12, abs=1e-14 * scale)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflowing_slopes_raise(self):
         with pytest.raises(DataError):
             jaeckel_dispersion(np.array([1e308]), self.ds4(), 0.5)
+        # x @ b itself overflows
+        ds = Dataset(y=np.arange(4.0), x=np.array([[0.0], [1.0], [2.0], [1e300]]))
+        with pytest.raises(DataError):
+            jaeckel_dispersion(np.array([1e10]), ds, 0.5)
         # inf - inf makes NaN residuals, here at the selected order statistic
         x = np.array([[2.0, -2.0], [3.0, -3.0], [4.0, -4.0], [1.0, 0.0]])
         ds = Dataset(y=np.arange(4.0), x=x)
@@ -301,7 +303,10 @@ class TestFitREstimator:
         (Dataset(y=np.zeros(3), x=[[1.0], [2.0], [0.0]]), 0.37),
         (Dataset(y=np.zeros(3), x=[[1.0], [2.0], [0.0]]), 0.5),
         (Dataset(y=np.zeros(6), x=np.random.default_rng(1).uniform(size=(6, 1))), 0.5),
-    ], ids=["three_rows_0.25", "three_rows_0.37", "three_rows_0.5", "six_rows_0.5"])
+        # past the preprocessing threshold: the band's start is exact too
+        (Dataset(y=np.zeros(2000), x=np.random.default_rng(1).uniform(size=(2000, 1))), 0.5),
+    ], ids=["three_rows_0.25", "three_rows_0.37", "three_rows_0.5", "six_rows_0.5",
+            "banded_2000_rows_0.5"])
     def test_zero_response_is_fitted_at_once(self, ds, lam):
         # The least-squares start is exact, so the gap is 0 before any
         # iteration: no division by a zero multiplier, no warning.
