@@ -48,7 +48,12 @@ _EINSUM_BUFFER = 8192   # numpy's einsum buffer: past it a sum depends on the ba
 # with the full solve, that stage took 1.10 times as long at 80 x 200 rows,
 # 0.95 to 0.98 at 40 x 400 and 0.90 to 1.02 at 20 x 800, but 0.81 to 0.86 at
 # 20 x 1000 and 0.66 to 0.71 at 20 x 1600: 1000 is the least size at which
-# it gained in every sweep.
+# it gained in every sweep.  Lone fits, whose interior points at these sizes
+# are bound by numpy's per-call cost, gain later: interleaved medians of
+# 1.41, 1.35, 1.31 and 0.90 at 1000, 2000, 4000 and 8000 rows, p = 1, and
+# 1.20, 1.00 and 0.76 at 2000, 4000 and 8000 rows, p = 3 (a few ms each).
+# The threshold still does not depend on the batch: a problem's path, so its
+# iterations and its vertex at a non-unique optimum, are its lone fit's.
 _BAND_ROWS = 1000
 
 
@@ -332,9 +337,9 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, rhs: np.ndarray | 
     :func:`_floor`).  The start is ``a = 1 - tau`` and the least-squares
     fit, so an exact fit, a zero response among them, stops at once with gap
     0.  That start is feasible unless ``rhs`` is given; then a problem also
-    stops only once each term of its primal residual ``rhs - (1, X)'a`` is
-    within ``_IPM_RTOL`` of its scale ``|rhs| + |(1, X)|'1``, or when its
-    gap is 0 or NaN, where it cannot move.  Each problem has
+    stops only once its primal residual ``rhs - (1, X)'a`` is closed (see
+    :func:`_primal_tolerance`), or when its gap is 0 or NaN, where it
+    cannot move and its residual stays open.  Each problem has
     its own step lengths, centring and stopping test, and leaves the batch
     when it stops.  With a |y| near the top of the float range, ``w / s``
     may overflow: its weight is then 0, its limit.  Every operation reads one
@@ -361,7 +366,7 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, rhs: np.ndarray | 
     if rhs is None:
         b, primal = (1.0 - tau) * _at(x, ones), None
     else:  # the start a = 1 - tau is not feasible: the residual must close too
-        b, primal = rhs, _IPM_RTOL * (np.abs(rhs) + _at(np.abs(x), ones))
+        b, primal = rhs, _primal_tolerance(x, rhs)
     state = np.empty((4,) + shape)
     state[0], state[1] = 1.0 - tau, tau
     r = _a(x, _normal_solver(x, ones)(_at(x, y)), out=state[2])
@@ -423,7 +428,8 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     if rows == n:
         yield from _full_vertices(y, x, tau)
         return
-    with np.errstate(all="ignore"):  # an infeasible band's iterates overflow or turn to NaN
+    with np.errstate(all="ignore"):  # a singular or infeasible band's iterates
+        # may overflow or turn to NaN; such a band is not certified
         coef, certified, iterations = _banded_vertices(y, x, tau, rows // 2)
     rest, size = np.flatnonzero(~certified), _chunk(batch, rows, n)
     chunks = (rest[k:k + size] for k in range(0, rest.size, size))
@@ -440,6 +446,13 @@ def _solved_rows(n: int, q: int) -> int:
     while it is narrower than n."""
     band = 2 * math.ceil((q * n) ** (2.0 / 3.0))
     return band if n >= _BAND_ROWS and band < n else n
+
+
+def _batch_size(n: int, q: int, rows: int) -> int:
+    """The problems of n rows and q coefficients to fit as one batch so that
+    it holds at most ``2 rows`` responses and its interior point solves at
+    most ``rows`` rows (see :func:`_solved_rows`); at least one."""
+    return max(1, min(2 * rows // n, rows // _solved_rows(n, q)))
 
 
 def _chunk(batch: int, rows: int, n: int) -> int:
@@ -461,9 +474,13 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     1_above)``.  Its first vertex is certified on all n rows by
     :func:`_certify`, with ``d = tau - 1`` below the band and ``tau`` above
     it, so a fixed row on the wrong side of the vertex fails the
-    certificate.  A problem is not certified when the band's lead rows are
-    dependent, its band LP does not converge (it may be infeasible, or its
-    iterates not finite) or its vertex fails the certificate.
+    certificate.  That bound holds only for a d with ``(1, X)'d = 0``, so
+    the band's primal residual must have closed (see
+    :func:`_primal_tolerance`).  A problem is not certified when its
+    subsample's ``(1, X)`` is rank deficient (no band is solved), its band
+    LP is infeasible by :func:`_infeasible` (no band is solved) or its
+    residual did not close, its band's lead rows are dependent, or its
+    vertex fails the certificate.
 
     Every step reads one problem's rows alone, so a problem gets the bits it
     gets when solved alone.  The ranks, right-hand sides and certificates
@@ -472,7 +489,7 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     rows and its interior point.
     """
     batch, n = y.shape
-    coef, iterations = _subsample_fit(y, x, tau, m)
+    coef, iterations, placed = _subsample_fit(y, x, tau, m)
     lo = min(max(int(n * tau) - m, 0), n - 2 * m)
     hi, size = lo + 2 * m, _chunk(batch, 2 * m, n)
     chunks = [slice(k, k + size) for k in range(0, batch, size)]
@@ -486,9 +503,17 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     del ranked
     rows = np.arange(batch)[:, None]
     yb, xb = y[rows, band], x[rows, band]
-    a, r, more = _interior_point(yb, xb, tau, rhs)
+    solved = placed & ~_infeasible(xb, tau, rhs)
+    if solved.all():
+        a, r, more = _interior_point(yb, xb, tau, rhs)
+    else:
+        a, r, more = np.full(yb.shape, 1.0 - tau), np.zeros(yb.shape), np.zeros(batch, int)
+        if solved.any():
+            a[solved], r[solved], more[solved] = _interior_point(yb[solved], xb[solved], tau,
+                                                                 rhs[solved])
+    closed = (np.abs(rhs - _at(xb, a)) <= _primal_tolerance(xb, rhs)).all(axis=1)
     coef, _, independent = _lead_vertices(yb, xb, a, r)
-    certified = independent & (more < _IPM_MAX_ITER)
+    certified = solved & closed & independent
     for k in chunks:
         d = np.where(above[k], tau, tau - 1.0)
         np.put_along_axis(d, band[k], np.clip(a[k], 0.0, 1.0) - (1.0 - tau), axis=1)
@@ -496,16 +521,51 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     return coef, certified, iterations + more
 
 
+def _primal_tolerance(x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The bound (B, q) within which each term of a primal residual ``rhs -
+    (1, X)'a`` of a batch counts as closed: ``_IPM_RTOL`` of ``|rhs| +
+    |(1, X)|'1``."""
+    return _IPM_RTOL * (np.abs(rhs) + _at(np.abs(x), np.ones(x.shape[:2])))
+
+
+def _infeasible(x: np.ndarray, tau: float, rhs: np.ndarray) -> np.ndarray:
+    """Whether Farkas' lemma shows each LP ``(1, X_b)'a = rhs_b``, ``0 <= a
+    <= 1``, of a batch infeasible: every feasible a has ``rhs'u = a'(1, X)u
+    <= sum max((1, X)u, 0)`` for all u, so a u that breaks this bound by
+    more than ``_VERTEX_RTOL`` of its terms' sizes proves that no a exists.
+
+    u is the least-squares solution of ``(1, X)'(1, X) u = rhs - (1 -
+    tau)(1, X)'1``, the primal residual of the start ``a = 1 - tau``.  Each
+    interior-point step scales that residual by one less its primal step, so
+    the residual keeps its direction, and an LP that cannot close it stalls
+    along it.  With bands of half the rows of :func:`_solved_rows` at n =
+    1600, this u proved infeasible each of the 15 of 60 band LPs that
+    otherwise ran 100 iterations, and none of the other 45."""
+    ones = np.ones(x.shape[:2])
+    u = _normal_solver(x, ones)(rhs - (1.0 - tau) * _at(x, ones))
+    au = _a(x, u)
+    excess = (rhs * u).sum(axis=1) - np.maximum(au, 0.0).sum(axis=1)
+    size = (np.abs(rhs) * np.abs(u)).sum(axis=1) + np.abs(au).sum(axis=1)
+    return excess > _VERTEX_RTOL * size
+
+
 def _subsample_fit(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     """The coefficients (B, q) of each problem of a batch fitted on its m rows
-    ``(arange(m) n) // m``, and the interior point's iterations (B,): the
-    least-squares solve of ``(1, X) u = y - (w - z)``, the interior point's
-    dual iterate at a gap within ``_SUBSAMPLE_RTOL`` of its loss, which needs
-    no rank test of lead rows."""
+    ``(arange(m) n) // m``, the interior point's iterations (B,), and
+    whether each subsample's ``(1, X)`` has full rank; a problem whose
+    subsample does not is not solved, and gets 0 coefficients and 0
+    iterations.  The coefficients are the least-squares solve of ``(1, X) u
+    = y - (w - z)``, the interior point's dual iterate at a gap within
+    ``_SUBSAMPLE_RTOL`` of its loss, which needs no rank test of lead rows."""
     sub = (np.arange(m) * y.shape[1]) // m
     ys, xs = y[:, sub], x[:, sub]
-    _, r, iterations = _interior_point(ys, xs, tau, rtol=_SUBSAMPLE_RTOL)
-    return _normal_solver(xs, np.ones(ys.shape))(_at(xs, ys - r)), iterations
+    placed = np.linalg.matrix_rank(_augmented(xs)) == xs.shape[2] + 1
+    coef, iterations = np.zeros((y.shape[0], xs.shape[2] + 1)), np.zeros(y.shape[0], int)
+    if placed.any():
+        ys, xs = ys[placed], xs[placed]
+        _, r, iterations[placed] = _interior_point(ys, xs, tau, rtol=_SUBSAMPLE_RTOL)
+        coef[placed] = _normal_solver(xs, np.ones(ys.shape))(_at(xs, ys - r))
+    return coef, iterations, placed
 
 
 def _lead_vertices(y: np.ndarray, x: np.ndarray, a: np.ndarray, r: np.ndarray):

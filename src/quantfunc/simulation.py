@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .model import Dataset, _write_csv, order_index
 from .ranks import _fit_slopes
-from .regression import _solved_rows
+from .regression import _batch_size
 from .two_step import averaged_two_step_process, centered_process
 from . import functionals as fn
 
@@ -254,15 +254,13 @@ def _replicates(config: SimulationConfig, n: int, measure, errors=None) -> list:
     slopes are fitted together, each the bits of a lone
     :func:`fit_r_estimator`.  A batch holds at most twice
     ``_BATCH_ELEMENTS`` responses, and its interior point solves at most
-    ``_BATCH_ELEMENTS`` rows (see :func:`regression._solved_rows`).
+    ``_BATCH_ELEMENTS`` rows (see :func:`regression._batch_size`).
     ``errors`` reads z as it is drawn, so that a batch holds no errors while
     it is fitted, and ``measure`` gets a :class:`Dataset` of one replicate's
     rows at a time, so a batch is held once.  The studies read only the
     slopes, so no dispersion is computed.
     """
-    size = max(1, min(2 * _BATCH_ELEMENTS // n,
-                      _BATCH_ELEMENTS // _solved_rows(n, config.p + 1)))
-    size = min(size, config.replications)
+    size = min(_batch_size(n, config.p + 1, _BATCH_ELEMENTS), config.replications)
     y, x, measured = np.empty((size, n)), np.empty((size, n, config.p)), []
     for start in range(0, config.replications, size):
         count, hidden = min(size, config.replications - start), []
