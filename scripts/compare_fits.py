@@ -9,8 +9,9 @@ strings:
 - R-estimator slopes, dispersions and iteration counts at n = 2e4 for
   p = 1, 2, 5 (the ``fit_large`` datasets), on the Monte Carlo designs at
   n = 100, 400, 1600, on small random and tied datasets, and past the
-  preprocessing threshold on tied integer data at n = 2000, p = 3 and on
-  1e5 continuous rows at p = 3;
+  preprocessing threshold on tied integer data at n = 2000, p = 3, on
+  1e5 continuous rows at p = 3 and on 1e6 rows at p = 3 (x uniform on the
+  unit cube, y = 1 + x'(1, 2, 3) + N(0, 1), from ``default_rng(1)``);
 - dispersions at fixed slopes, tied residuals included;
 - two-step intercepts on a grid of levels, at the true slopes;
 - the averaged two-step process and its centred form on the ``fit_large``
@@ -41,7 +42,7 @@ NEW_SRC, when the slopes moved.  At a non-unique optimum a change to the
 interior point's arithmetic may pick another vertex of the same check loss,
 to within the rounding of the slopes, and so move a study report without a
 fault: ``MC_CONFIG`` at n = 100, replicate 100, is one such case.  Takes
-about 15 seconds, and about 10 more when an R-fit or a study differs.
+about 20 seconds, and about 10 more when an R-fit or a study differs.
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def emit(losses: dict | None = None) -> dict:
     x = rng.uniform(0.0, 1.0, (100_000, 3))
     r_fit("large n=1e5 p=3", qf.Dataset(y=1.0 + x.sum(axis=1) + rng.standard_normal(100_000),
                                         x=x), 0.5)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.0, 1.0, (1_000_000, 3))
+    r_fit("large n=1e6 p=3", qf.Dataset(y=1.0 + x @ np.arange(1.0, 4.0)
+                                        + rng.standard_normal(1_000_000), x=x), 0.5)
 
     vertices = []
     solve = regression.solve_simplex

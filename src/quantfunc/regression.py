@@ -9,9 +9,10 @@ Two solvers minimize ``sum_i rho_alpha(y_i - b0 - x_i'b)``; both end in
 - :func:`_certified_vertices`, which the R-estimator uses, runs the
   Frisch-Newton interior point :func:`_interior_point` over a batch of
   problems of one n and p.  From ``_BAND_ROWS`` rows on it first solves a
-  subsample and a band of rows around the quantile (Portnoy and Koenker
-  1997, Stat. Sci., section 5), certified on all rows, and solves all rows
-  only for a problem that stage does not certify.
+  subsample, then a band of rows around the quantile with the rows on
+  either side of it summed into one weighted glob row each (Portnoy and
+  Koenker 1997, Stat. Sci., section 5), certified on all rows, and solves
+  all rows only for a problem that stage does not certify.
 
 Either solver's duals ``d`` in ``[alpha - 1, alpha]`` give the lower bound
 ``d'r`` on the check loss.  The vertex is solved from the raw data through q
@@ -49,9 +50,10 @@ _EINSUM_BUFFER = 8192   # numpy's einsum buffer: past it a sum depends on the ba
 # 0.95 to 0.98 at 40 x 400 and 0.90 to 1.02 at 20 x 800, but 0.81 to 0.86 at
 # 20 x 1000 and 0.66 to 0.71 at 20 x 1600: 1000 is the least size at which
 # it gained in every sweep.  Lone fits, whose interior points at these sizes
-# are bound by numpy's per-call cost, gain later: interleaved medians of
-# 1.41, 1.35, 1.31 and 0.90 at 1000, 2000, 4000 and 8000 rows, p = 1, and
-# 1.20, 1.00 and 0.76 at 2000, 4000 and 8000 rows, p = 3 (a few ms each).
+# are bound by numpy's per-call cost, gain later: in two interleaved sweeps,
+# medians of 1.39-1.52, 1.20-1.25, 0.95-0.98 and 0.82-0.87 at 1000, 2000,
+# 4000 and 8000 rows, p = 1, and 1.30-1.33, 1.10-1.17, 0.86-0.91 and
+# 0.66-0.70 at p = 3 (a few ms each).
 # The threshold still does not depend on the batch: a problem's path, so its
 # iterations and its vertex at a non-unique optimum, are its lone fit's.
 _BAND_ROWS = 1000
@@ -222,7 +224,7 @@ def _newton(x, d, solve, rp, g, work):
 
 def _predictor_corrector(x, b, gap, state, work):
     """One Mehrotra predictor-corrector step of each problem of a batch, in
-    place on ``state = [a, s, z, w]``, of shape (4, B, n), ``s = 1 - a``.
+    place on ``state = [a, s, z, w]``, of shape (4, B, n), ``s = u - a``.
     ``work``, of shape (5, B, n), holds ``[dz, dw]``, the weights ``d = 1 /
     (z / a + w / s)``, a scratch row and ``g``, which becomes ``da``.  d is
     kept for the corrector; the corrector's primal ratios ``[da / a, da /
@@ -312,43 +314,41 @@ def _floor(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _certify(y: np.ndarray, x: np.ndarray, tau: float, d: np.ndarray, coef: np.ndarray):
     """The residuals ``r = y - (1, X) b`` (B, n), check losses (B,) and dual
     gaps ``loss - d'r`` (B,) of the vertices ``b``, coef of shape (B, q), of a
-    batch, and whether each is certified: its gap is within ``_VERTEX_RTOL``
-    of its loss plus the floor (see :func:`_floor`) of
-    ``|y| + |(1, X)| |b|``, which bounds the rounding of r."""
+    batch, whether each is certified: its gap is within ``_VERTEX_RTOL`` of
+    its loss plus the floor (see :func:`_floor`) of ``|y| + |(1, X)| |b|``,
+    which bounds the rounding of r, and that floor (B,)."""
     r = y - _a(x, coef)
     loss = check_loss_vec(r, tau).sum(axis=1)
     gap = loss - (d * r).sum(axis=1)
     floor = _floor(np.abs(y) + _a(np.abs(x), np.abs(coef)), x)
-    return r, loss, gap, gap <= _VERTEX_RTOL * loss + floor
+    return r, loss, gap, gap <= _VERTEX_RTOL * loss + floor, floor
 
 
-def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, rhs: np.ndarray | None = None,
+def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, u: np.ndarray | None = None,
                     rtol: float = _IPM_RTOL):
     """Frisch-Newton interior point (Koenker and Portnoy 1997, Stat. Sci.) on
     the check-loss LPs of a batch of B problems of one n and p, the responses
     y of shape (B, n) and the designs x (B, n, p).
 
     Mehrotra's predictor-corrector for ``max y_b'a`` subject to
-    ``(1, X_b)'a = rhs_b``, ``0 <= a <= 1``, where ``rhs``, of shape (B, q),
-    is ``(1 - tau)(1, X_b)'1`` unless given.  With z, w the bound
-    multipliers, ``w - z`` is the residual and ``tau sum w + (1 - tau) sum z``
-    its check loss; the gap ``a'z + (1 - a)'w`` stops at ``rtol`` of that
-    loss (unmoved by a shift of y) plus the problem's floor (see
-    :func:`_floor`).  The start is ``a = 1 - tau`` and the least-squares
-    fit, so an exact fit, a zero response among them, stops at once with gap
-    0.  That start is feasible unless ``rhs`` is given; then a problem also
-    stops only once its primal residual ``rhs - (1, X)'a`` is closed (see
-    :func:`_primal_tolerance`), or when its gap is 0 or NaN, where it
-    cannot move and its residual stays open.  Each problem has
-    its own step lengths, centring and stopping test, and leaves the batch
-    when it stops.  With a |y| near the top of the float range, ``w / s``
-    may overflow: its weight is then 0, its limit.  Every operation reads one
-    problem's row alone, so a problem's iterates are the bits it reaches when
-    solved alone; past numpy's einsum buffer, where a sum over a row depends
-    on the batch, each problem is solved alone.
+    ``(1, X_b)'a = (1 - tau)(1, X_b)'u_b``, ``0 <= a <= u_b``, where the
+    row weights ``u``, of shape (B, n), are 1 unless given: a row of weight c
+    stands for c rows that equal it.  With z, w the bound multipliers, ``w -
+    z`` is the residual and ``tau sum w + (1 - tau) sum z`` its check loss,
+    unweighted, since a heavy row's loss weighted by u loosens the test; the
+    gap ``a'z + (u - a)'w`` stops at ``rtol`` of that loss (unmoved by a
+    shift of y) plus the problem's floor (see :func:`_floor`).  The start is
+    the feasible ``a = (1 - tau) u`` and the least-squares fit, so an exact
+    fit, a zero response among them, stops at once with gap 0.  Each
+    problem has its own step lengths, centring and stopping test,
+    and leaves the batch when it stops.  With a |y| near the top of the float
+    range, ``w / s`` may overflow: its weight is then 0, its limit.  Every
+    operation reads one problem's row alone, so a problem's iterates are the
+    bits it reaches when solved alone; past numpy's einsum buffer, where a
+    sum over a row depends on the batch, each problem is solved alone.
 
-    y and x are read in place and not copied.  Besides them the loop holds
-    nine (B, n) float64 arrays, the state ``[a, 1 - a, z, w]`` and the five
+    y, x and u are read in place and not copied.  Besides them the loop holds
+    nine (B, n) float64 arrays, the state ``[a, u - a, z, w]`` and the five
     work rows of :func:`_predictor_corrector`, and once some problems have
     stopped, the live problems' rows of x.  It peaks at 9.6 to 9.8 (B, n)
     arrays beyond y and x for the study batch at n = 400, and at 11.7 at
@@ -358,20 +358,19 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, rhs: np.ndarray | 
     """
     if y.shape[0] > 1 and y.shape[1] > _EINSUM_BUFFER:
         alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau,
-                                 None if rhs is None else rhs[k:k + 1], rtol)
+                                 None if u is None else u[k:k + 1], rtol)
                  for k in range(y.shape[0])]
         return tuple(map(np.concatenate, zip(*alone)))
     floor, shape = _floor(y, x), y.shape
     ones = np.ones(shape)
-    if rhs is None:
-        b, primal = (1.0 - tau) * _at(x, ones), None
-    else:  # the start a = 1 - tau is not feasible: the residual must close too
-        b, primal = rhs, _primal_tolerance(x, rhs)
+    u = ones if u is None else u
+    b = (1.0 - tau) * _at(x, u)
     state = np.empty((4,) + shape)
-    state[0], state[1] = 1.0 - tau, tau
+    np.multiply(1.0 - tau, u, out=state[0])
+    np.multiply(tau, u, out=state[1])
     r = _a(x, _normal_solver(x, ones)(_at(x, y)), out=state[2])
     np.subtract(y, r, out=r)
-    del ones
+    del ones, u
     shift = np.abs(r, out=state[3]).mean(axis=1)[:, None]
     np.maximum(r, 0.0, out=state[3])
     np.maximum(np.negative(r, out=r), 0.0, out=r)
@@ -385,10 +384,7 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, rhs: np.ndarray | 
                    + np.einsum("bi,bi->b", state[1], state[3]))
             sums = state[2:].sum(axis=2)
             loss = tau * sums[1] + (1.0 - tau) * sums[0]
-            stop = gap <= rtol * loss + floor
-            if primal is not None:  # or its gap is 0 or NaN, where it cannot move
-                stop &= (np.abs(b - _at(x, state[0])) <= primal).all(axis=1) | ~(gap > 0.0)
-            stop |= iterations == _IPM_MAX_ITER
+            stop = (gap <= rtol * loss + floor) | (iterations == _IPM_MAX_ITER)
             if stop.any():
                 work = None  # freed before the rows that stop are copied out
                 found.append((live[stop], state[0][stop], state[3][stop] - state[2][stop],
@@ -397,8 +393,6 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, rhs: np.ndarray | 
                     break
                 go = ~stop
                 live, x, b, floor, gap = live[go], x[go], b[go], floor[go], gap[go]
-                if primal is not None:
-                    primal = primal[go]
                 state = np.compress(go, state, axis=1)  # C order, unlike state[:, go]
                 work = np.empty((5,) + state.shape[1:])
             _predictor_corrector(x, b, gap, state, work)
@@ -428,8 +422,8 @@ def _certified_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     if rows == n:
         yield from _full_vertices(y, x, tau)
         return
-    with np.errstate(all="ignore"):  # a singular or infeasible band's iterates
-        # may overflow or turn to NaN; such a band is not certified
+    with np.errstate(all="ignore"):  # a singular band's iterates may overflow
+        # or turn to NaN; such a band is not certified
         coef, certified, iterations = _banded_vertices(y, x, tau, rows // 2)
     rest, size = np.flatnonzero(~certified), _chunk(batch, rows, n)
     chunks = (rest[k:k + size] for k in range(0, rest.size, size))
@@ -468,85 +462,66 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     iterations (B,) of its two interior points.
 
     The fit of a subsample of m rows (:func:`_subsample_fit`) ranks every
-    row's residual.  The rows of the 2m ranks around n tau form the band;
-    the rows below it are fixed at ``a = 0`` and those above at ``a = 1``,
-    so the band's LP has the right-hand side ``(1, X)'((1 - tau) 1 -
-    1_above)``.  Its first vertex is certified on all n rows by
-    :func:`_certify`, with ``d = tau - 1`` below the band and ``tau`` above
-    it, so a fixed row on the wrong side of the vertex fails the
-    certificate.  That bound holds only for a d with ``(1, X)'d = 0``, so
-    the band's primal residual must have closed (see
-    :func:`_primal_tolerance`).  A problem is not certified when its
-    subsample's ``(1, X)`` is rank deficient (no band is solved), its band
-    LP is infeasible by :func:`_infeasible` (no band is solved) or its
-    residual did not close, its band's lead rows are dependent, or its
-    vertex fails the certificate.
+    row's residual.  The rows of the 2m ranks around n tau form the band.
+    The rows below it are summed into one glob row, their mean of weight
+    their count, and those above it into another; a side with no rows has
+    no glob.  The band and its globs form an ordinary weighted check-loss LP
+    (see :func:`_interior_point`), whose vertex is solved through lead rows
+    of the band alone.  It is certified on all n rows by :func:`_certify`,
+    with each fixed row priced at its glob's ``d = clip(a_g / u_g, 0, 1) -
+    (1 - tau)``: the globs carry the fixed rows' ``(1, X)'1``, so that d is
+    dual feasible, and a fixed row on the wrong side of the vertex fails the
+    certificate.  A problem is not certified when its subsample's ``(1, X)``
+    is rank deficient (no band is solved), its band's lead rows are
+    dependent, or its vertex fails the certificate or has a check loss at or
+    below the certificate's rounding floor, where any vertex of a near-exact
+    fit would pass.
 
     Every step reads one problem's rows alone, so a problem gets the bits it
-    gets when solved alone.  The ranks, right-hand sides and certificates
-    are taken in chunks of no more rows than the band, so beyond y and x
-    the stage holds a (B, n) mask of the rows above the band, the band's
-    rows and its interior point.
+    gets when solved alone.  The ranks, glob sums and certificates are taken
+    in chunks of no more rows than the band, so beyond y and x the stage
+    holds a (B, n) mask of the rows above the band, the band's rows and its
+    interior point.
     """
     batch, n = y.shape
     coef, iterations, placed = _subsample_fit(y, x, tau, m)
     lo = min(max(int(n * tau) - m, 0), n - 2 * m)
     hi, size = lo + 2 * m, _chunk(batch, 2 * m, n)
     chunks = [slice(k, k + size) for k in range(0, batch, size)]
+    sides = [(start, stop) for start, stop in ((0, lo), (hi, n)) if stop > start]
     band, above = np.empty((batch, 2 * m), dtype=np.intp), np.zeros((batch, n), dtype=bool)
-    rhs = np.empty(coef.shape)
+    shape = (batch, 2 * m + len(sides))
+    yb, xb, u = np.empty(shape), np.empty(shape + x.shape[2:]), np.ones(shape)
+    u[:, 2 * m:] = [stop - start for start, stop in sides]
     for k in chunks:
         ranked = np.argpartition(y[k] - _a(x[k], coef[k]), (lo, hi - 1), axis=1)
         band[k] = np.sort(ranked[:, lo:hi], axis=1)
+        yb[k, :2 * m] = np.take_along_axis(y[k], band[k], axis=1)
+        xb[k, :2 * m] = np.take_along_axis(x[k], band[k][:, :, None], axis=1)
         np.put_along_axis(above[k], ranked[:, hi:], True, axis=1)
-        rhs[k] = _at(x[k], np.where(above[k], -tau, 1.0 - tau))
-    del ranked
-    rows = np.arange(batch)[:, None]
-    yb, xb = y[rows, band], x[rows, band]
-    solved = placed & ~_infeasible(xb, tau, rhs)
-    if solved.all():
-        a, r, more = _interior_point(yb, xb, tau, rhs)
+        for g, (start, stop) in enumerate(sides, 2 * m):
+            mask = np.zeros(y[k].shape)
+            np.put_along_axis(mask, ranked[:, start:stop], 1.0, axis=1)
+            yb[k, g] = np.einsum("bi,bi->b", y[k], mask) / (stop - start)
+            xb[k, g] = np.einsum("bij,bi->bj", x[k], mask) / (stop - start)
+    del ranked, mask
+    if placed.all():
+        a, r, more = _interior_point(yb, xb, tau, u)
     else:
-        a, r, more = np.full(yb.shape, 1.0 - tau), np.zeros(yb.shape), np.zeros(batch, int)
-        if solved.any():
-            a[solved], r[solved], more[solved] = _interior_point(yb[solved], xb[solved], tau,
-                                                                 rhs[solved])
-    closed = (np.abs(rhs - _at(xb, a)) <= _primal_tolerance(xb, rhs)).all(axis=1)
-    coef, _, independent = _lead_vertices(yb, xb, a, r)
-    certified = solved & closed & independent
-    for k in chunks:
-        d = np.where(above[k], tau, tau - 1.0)
-        np.put_along_axis(d, band[k], np.clip(a[k], 0.0, 1.0) - (1.0 - tau), axis=1)
-        certified[k] &= _certify(y[k], x[k], tau, d, coef[k])[3]
+        a, r, more = np.zeros(yb.shape), np.zeros(yb.shape), np.zeros(batch, int)
+        if placed.any():
+            a[placed], r[placed], more[placed] = _interior_point(yb[placed], xb[placed], tau,
+                                                                 u[placed])
+    coef, _, independent = _lead_vertices(yb[:, :2 * m], xb[:, :2 * m], a[:, :2 * m],
+                                          r[:, :2 * m])
+    certified = placed & independent
+    fixed = np.clip(a[:, 2 * m:] / u[:, 2 * m:], 0.0, 1.0) - (1.0 - tau)
+    for k in chunks:  # one glob: every fixed row's; two: below and above
+        d = np.where(above[k], fixed[k, -1:], fixed[k, :1])
+        np.put_along_axis(d, band[k], np.clip(a[k, :2 * m], 0.0, 1.0) - (1.0 - tau), axis=1)
+        _, loss, _, passed, floor = _certify(y[k], x[k], tau, d, coef[k])
+        certified[k] &= passed & (loss > floor)
     return coef, certified, iterations + more
-
-
-def _primal_tolerance(x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The bound (B, q) within which each term of a primal residual ``rhs -
-    (1, X)'a`` of a batch counts as closed: ``_IPM_RTOL`` of ``|rhs| +
-    |(1, X)|'1``."""
-    return _IPM_RTOL * (np.abs(rhs) + _at(np.abs(x), np.ones(x.shape[:2])))
-
-
-def _infeasible(x: np.ndarray, tau: float, rhs: np.ndarray) -> np.ndarray:
-    """Whether Farkas' lemma shows each LP ``(1, X_b)'a = rhs_b``, ``0 <= a
-    <= 1``, of a batch infeasible: every feasible a has ``rhs'u = a'(1, X)u
-    <= sum max((1, X)u, 0)`` for all u, so a u that breaks this bound by
-    more than ``_VERTEX_RTOL`` of its terms' sizes proves that no a exists.
-
-    u is the least-squares solution of ``(1, X)'(1, X) u = rhs - (1 -
-    tau)(1, X)'1``, the primal residual of the start ``a = 1 - tau``.  Each
-    interior-point step scales that residual by one less its primal step, so
-    the residual keeps its direction, and an LP that cannot close it stalls
-    along it.  With bands of half the rows of :func:`_solved_rows` at n =
-    1600, this u proved infeasible each of the 15 of 60 band LPs that
-    otherwise ran 100 iterations, and none of the other 45."""
-    ones = np.ones(x.shape[:2])
-    u = _normal_solver(x, ones)(rhs - (1.0 - tau) * _at(x, ones))
-    au = _a(x, u)
-    excess = (rhs * u).sum(axis=1) - np.maximum(au, 0.0).sum(axis=1)
-    size = (np.abs(rhs) * np.abs(u)).sum(axis=1) + np.abs(au).sum(axis=1)
-    return excess > _VERTEX_RTOL * size
 
 
 def _subsample_fit(y: np.ndarray, x: np.ndarray, tau: float, m: int):
@@ -664,7 +639,7 @@ def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarr
             coef = np.linalg.solve(sub, y[basis])
         except np.linalg.LinAlgError:  # the point that entered made it singular
             break
-        (r,), (loss,), (gap,), (certified,) = _certify(y[None], xb, tau, d[None], coef[None])
+        (r,), (loss,), (gap,), (certified,), _ = _certify(y[None], xb, tau, d[None], coef[None])
         if pivots == 0:  # the bound of each point off the basis, tracked from
             # here on so that a degenerate pivot cannot undo the one before
             above = (r > 0.0) | ((r == 0.0) & (a >= 0.5))

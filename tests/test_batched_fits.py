@@ -426,9 +426,9 @@ def traced_peak(config):
 
 def test_study_memory_follows_the_batch_size_not_the_replications():
     rate_study_two_step(replace(BENCH_CONFIG, replications=2))  # lazy imports and caches
-    # The study peaks at 11.5 float64 arrays of the batch budget (numpy 2.4),
-    # at n = 400, and at 11.3 at n = 1600, where a batch of 20 replicates,
-    # held once, is 3.9 of them.  16 leaves 39 % for other numpy versions.
+    # The study peaks at 11.9 float64 arrays of the batch budget (numpy 2.4),
+    # at n = 1600, where a batch of 20 replicates, held once, is 3.9 of them,
+    # and at 11.5 at n = 400.  16 leaves 34 % for other numpy versions.
     assert traced_peak(BENCH_CONFIG) <= 16 * 8 * simulation._BATCH_ELEMENTS
     # 200 replications fill the largest batch at every n, as 400 do; 100
     # leave the n = 100 batch short of the budget.
