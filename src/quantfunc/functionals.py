@@ -133,8 +133,8 @@ def gastwirth_j(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     num = lorenz(proc, alpha).value
     denom = 1.0 - lorenz(proc, 1.0 - alpha).value
-    if denom <= 0:
-        raise DomainError("degenerate distribution: top share is zero")
+    if denom <= 0:  # the top share is at least alpha of the total
+        raise DomainError(f"alpha={alpha} is too small: 1 - L(1 - alpha) rounds to 0")
     return FunctionalEstimate(kind="gastwirth_j", level=alpha, value=num / denom, n=proc.n)
 
 
@@ -142,6 +142,8 @@ def staudte_r(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
     """Symmetric quantile ratio Q(alpha/2) / Q(1 - alpha/2)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise DomainError(f"alpha={alpha} is too small: 1 - alpha/2 rounds to 1")
     denom = proc(1.0 - alpha / 2.0)
     if denom == 0.0:
         raise DomainError("degenerate distribution: upper quantile is zero")

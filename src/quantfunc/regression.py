@@ -233,7 +233,8 @@ def _predictor_corrector(x, b, gap, state, work):
     The dual directions are formed from the primal ratios.  The predictor's
     are ``[dz, dw] = [-1 - da / a, da / s - 1] [z, w]``, so its dual step is
     read from the extremes of the ratios, and the corrector's are ``[mpz /
-    a, mpw / s]`` plus the same terms of its own da."""
+    a, mpw / s]`` plus the same terms of its own da.  Every step centres: a
+    full predictor dual step needs ``da > 0`` and ``da < 0`` everywhere."""
     box, zw = state[:2], state[2:]
     a, s, z, w = state
     dzw, d, spare, g = work[:2], work[2], work[3], work[4]
@@ -249,56 +250,45 @@ def _predictor_corrector(x, b, gap, state, work):
     # dz / z = -da / a - 1; fl(u - 1) rises with u, so 1 comes off the least.
     lowest = np.minimum(ratios.min(axis=2), -ratios.max(axis=2)[::-1])
     lowest[1] -= 1.0
-    ap, ad = _step(lowest)
-    centre = np.minimum(ap, ad) < 1.0
+    ap, ad = _step(lowest)[:, :, None]
     np.subtract(-1.0, dz, out=dz)
     dz *= z
-    if not centre.any():
-        dw -= 1.0
-        dw *= w
-    else:
-        # The affine gap (a + ap da)'(z + ad dz) + (s - ap da)'(w + ad dw),
-        # in five rows: dw is formed after the first term, from da / s again,
-        # and da is spent on the last.
-        ap_, ad_ = ap[:, None], ad[:, None]
-        np.multiply(ad_, dz, out=spare)
-        spare += z
-        dz *= da
-        np.multiply(ap_, da, out=dw)
-        dw += a
-        g_aff = np.einsum("bi,bi->b", dw, spare)
-        np.divide(da, s, out=dw)
-        dw -= 1.0
-        dw *= w
-        np.multiply(ad_, dw, out=spare)
-        spare += w
-        dw *= da
-        da *= ap_
-        np.subtract(s, da, out=da)
-        g_aff += np.einsum("bi,bi->b", da, spare)
-        # mu is cubed by libm's pow, one Python float at a time, as a
-        # numpy scalar is; numpy's array power may take another pow.
-        cube = np.array([ratio ** 3 for ratio in (g_aff / gap).tolist()])
-        mu = (gap * cube / (2 * a.shape[1]))[:, None]
-        np.subtract(mu, dz, out=dz)  # [mpz, mpw] = [mu - pz, mu + pw], over [dz, dw]
-        np.add(mu, dw, out=dw)
-        # A problem that takes the full predictor step keeps mu = pz = pw
-        # = 0, which makes its corrector the predictor again, bit for bit;
-        # its dual ratios dz / z round apart from -1 - da / a, so it keeps
-        # the predictor's dual step.
-        dzw[:, ~centre] = 0.0
-        dzw /= box
-        np.subtract(z, w, out=g)
-        g += dw
-        g -= dz
-        da = _newton(x, d, solve, rp, g, spare)
-        ratios = np.divide(da, box, out=work[2:4])
-        ap = _step(np.minimum(ratios[0].min(axis=1), -ratios[1].max(axis=1)))
-        np.subtract(-1.0, ratios[0], out=ratios[0])
-        ratios[1] -= 1.0
-        ratios *= zw
-        dzw += ratios  # [mpz / a, mpw / s] + [-1 - da / a, da / s - 1] [z, w]
-        ad = np.where(centre, _step(np.divide(dzw, zw, out=ratios).min(axis=(0, 2))), ad)
+    # The affine gap (a + ap da)'(z + ad dz) + (s - ap da)'(w + ad dw),
+    # in five rows: dw is formed after the first term, from da / s again,
+    # and da is spent on the last.
+    np.multiply(ad, dz, out=spare)
+    spare += z
+    dz *= da
+    np.multiply(ap, da, out=dw)
+    dw += a
+    g_aff = np.einsum("bi,bi->b", dw, spare)
+    np.divide(da, s, out=dw)
+    dw -= 1.0
+    dw *= w
+    np.multiply(ad, dw, out=spare)
+    spare += w
+    dw *= da
+    da *= ap
+    np.subtract(s, da, out=da)
+    g_aff += np.einsum("bi,bi->b", da, spare)
+    # mu is cubed by libm's pow, one Python float at a time, as a
+    # numpy scalar is; numpy's array power may take another pow.
+    cube = np.array([ratio ** 3 for ratio in (g_aff / gap).tolist()])
+    mu = (gap * cube / (2 * a.shape[1]))[:, None]
+    np.subtract(mu, dz, out=dz)  # [mpz, mpw] = [mu - pz, mu + pw], over [dz, dw]
+    np.add(mu, dw, out=dw)
+    dzw /= box
+    np.subtract(z, w, out=g)
+    g += dw
+    g -= dz
+    da = _newton(x, d, solve, rp, g, spare)
+    ratios = np.divide(da, box, out=work[2:4])
+    ap = _step(np.minimum(ratios[0].min(axis=1), -ratios[1].max(axis=1)))
+    np.subtract(-1.0, ratios[0], out=ratios[0])
+    ratios[1] -= 1.0
+    ratios *= zw
+    dzw += ratios  # [mpz / a, mpw / s] + [-1 - da / a, da / s - 1] [z, w]
+    ad = _step(np.divide(dzw, zw, out=ratios).min(axis=(0, 2)))
     da *= ap[:, None]
     a += da
     s -= da
@@ -330,22 +320,22 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, u: np.ndarray | No
     the check-loss LPs of a batch of B problems of one n and p, the responses
     y of shape (B, n) and the designs x (B, n, p).
 
-    Mehrotra's predictor-corrector for ``max y_b'a`` subject to
-    ``(1, X_b)'a = (1 - tau)(1, X_b)'u_b``, ``0 <= a <= u_b``, where the
-    row weights ``u``, of shape (B, n), are 1 unless given: a row of weight c
+    Mehrotra's predictor-corrector for ``max y_b'a`` subject to ``(1, X_b)'a
+    = (1 - tau)(1, X_b)'u``, ``0 <= a <= u``, where the row weights ``u``,
+    one (n,) row shared by the batch, are 1 unless given: a row of weight c
     stands for c rows that equal it.  With z, w the bound multipliers, ``w -
     z`` is the residual and ``tau sum w + (1 - tau) sum z`` its check loss,
     unweighted, since a heavy row's loss weighted by u loosens the test; the
     gap ``a'z + (u - a)'w`` stops at ``rtol`` of that loss (unmoved by a
     shift of y) plus the problem's floor (see :func:`_floor`).  The start is
     the feasible ``a = (1 - tau) u`` and the least-squares fit, so an exact
-    fit, a zero response among them, stops at once with gap 0.  Each
-    problem has its own step lengths, centring and stopping test,
-    and leaves the batch when it stops.  With a |y| near the top of the float
-    range, ``w / s`` may overflow: its weight is then 0, its limit.  Every
-    operation reads one problem's row alone, so a problem's iterates are the
-    bits it reaches when solved alone; past numpy's einsum buffer, where a
-    sum over a row depends on the batch, each problem is solved alone.
+    fit, a zero response among them, stops at once with gap 0.  Each problem
+    has its own step lengths, centring and stopping test, and leaves the
+    batch when it stops.  With a |y| near the top of the float range, ``w /
+    s`` may overflow: its weight is then 0, its limit.  Every operation reads
+    one problem's row alone, so a problem's iterates are the bits it reaches
+    when solved alone; past numpy's einsum buffer, where a sum over a row
+    depends on the batch, each problem is solved alone.
 
     y, x and u are read in place and not copied.  Besides them the loop holds
     nine (B, n) float64 arrays, the state ``[a, u - a, z, w]`` and the five
@@ -357,13 +347,12 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, u: np.ndarray | No
     iterations, of shape (B,).
     """
     if y.shape[0] > 1 and y.shape[1] > _EINSUM_BUFFER:
-        alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau,
-                                 None if u is None else u[k:k + 1], rtol)
+        alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau, u, rtol)
                  for k in range(y.shape[0])]
         return tuple(map(np.concatenate, zip(*alone)))
     floor, shape = _floor(y, x), y.shape
     ones = np.ones(shape)
-    u = ones if u is None else u
+    u = ones if u is None else np.broadcast_to(u, shape)
     b = (1.0 - tau) * _at(x, u)
     state = np.empty((4,) + shape)
     np.multiply(1.0 - tau, u, out=state[0])
@@ -491,8 +480,8 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     sides = [(start, stop) for start, stop in ((0, lo), (hi, n)) if stop > start]
     band, above = np.empty((batch, 2 * m), dtype=np.intp), np.zeros((batch, n), dtype=bool)
     shape = (batch, 2 * m + len(sides))
-    yb, xb, u = np.empty(shape), np.empty(shape + x.shape[2:]), np.ones(shape)
-    u[:, 2 * m:] = [stop - start for start, stop in sides]
+    yb, xb, u = np.empty(shape), np.empty(shape + x.shape[2:]), np.ones(shape[1])
+    u[2 * m:] = [stop - start for start, stop in sides]
     for k in chunks:
         ranked = np.argpartition(y[k] - _a(x[k], coef[k]), (lo, hi - 1), axis=1)
         band[k] = np.sort(ranked[:, lo:hi], axis=1)
@@ -510,12 +499,11 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     else:
         a, r, more = np.zeros(yb.shape), np.zeros(yb.shape), np.zeros(batch, int)
         if placed.any():
-            a[placed], r[placed], more[placed] = _interior_point(yb[placed], xb[placed], tau,
-                                                                 u[placed])
+            a[placed], r[placed], more[placed] = _interior_point(yb[placed], xb[placed], tau, u)
     coef, _, independent = _lead_vertices(yb[:, :2 * m], xb[:, :2 * m], a[:, :2 * m],
                                           r[:, :2 * m])
     certified = placed & independent
-    fixed = np.clip(a[:, 2 * m:] / u[:, 2 * m:], 0.0, 1.0) - (1.0 - tau)
+    fixed = np.clip(a[:, 2 * m:] / u[2 * m:], 0.0, 1.0) - (1.0 - tau)
     for k in chunks:  # one glob: every fixed row's; two: below and above
         d = np.where(above[k], fixed[k, -1:], fixed[k, :1])
         np.put_along_axis(d, band[k], np.clip(a[k, :2 * m], 0.0, 1.0) - (1.0 - tau), axis=1)

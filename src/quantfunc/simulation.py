@@ -41,13 +41,12 @@ COVERAGE_C = 5.0
 # responses a batch of replicates holds (see _replicates): 163 replicates at
 # n = 100, 40 at n = 400 and 20 at n = 1600, whose fits solve a band of 436
 # rows and its two glob rows each.  rate_study_two_step on perfbench's
-# monte_carlo configuration peaks at 1.56 MB (11.9 float64 arrays of this
-# size, tracemalloc, numpy 2.4), at n = 1600, and at 11.5 arrays at n = 400.
-# The band's row weights are 0.5 of those arrays.  In-process, over 20
-# interleaved rounds of that operation, batches of 20 at n = 1600 took 0.85
-# of the time of batches of 10; batches of 40 took 0.77 but peaked at
-# 2.86 MB.  No batch of two or more solves over 8192 rows, numpy's einsum
-# buffer, past which a problem is solved alone.
+# monte_carlo configuration peaks at 1.51 MB (11.5 float64 arrays of this
+# size, tracemalloc, numpy 2.4), at n = 400, and at 11.4 arrays at n = 1600.
+# In-process, over 20 interleaved rounds of that operation, batches of 20 at
+# n = 1600 took 0.85 of the time of batches of 10; batches of 40 took 0.77
+# but peaked at 2.86 MB.  No batch of two or more solves over 8192 rows,
+# numpy's einsum buffer, past which a problem is solved alone.
 _BATCH_ELEMENTS = 16384
 
 _STD_NORMAL = NormalDist()

@@ -88,8 +88,6 @@ def averaged_two_step_process(ds: Dataset, lam: float = 0.5,
     both sides are order statistics of the same adjusted values, so the
     identity is exact in floating point.
     """
-    # Same arithmetic path as intercept + x_bar'slopes, so the order-statistic
-    # identity between the two holds exactly in floating point.
     slopes, adjusted = _residuals(ds, lam, slopes)
     with np.errstate(over="ignore", invalid="ignore"):  # the process refuses what overflows
         adjusted += ds.x_mean @ slopes

@@ -140,7 +140,7 @@ def test_two_datasets_at_the_einsum_buffer_size_fit_as_their_lone_fits(n):
     # n = 8192 is the largest n solved as one batch; a study batch with
     # B >= 2 solves at most _BATCH_ELEMENTS / 2 rows per problem, so its
     # interior point is never split.  At n = 12000 each fit solves a band,
-    # but the band's right-hand side and certificate sum over all n rows.
+    # but the band's glob rows and certificate sum over all n rows.
     assert simulation._BATCH_ELEMENTS // 2 <= 8192
     datasets = [generate(BENCH_CONFIG, n, rep)[0] for rep in range(2)]
     assert batch_bits(datasets, 0.5) == [bits(fit_r_estimator(ds, 0.5)) for ds in datasets]
@@ -426,9 +426,9 @@ def traced_peak(config):
 
 def test_study_memory_follows_the_batch_size_not_the_replications():
     rate_study_two_step(replace(BENCH_CONFIG, replications=2))  # lazy imports and caches
-    # The study peaks at 11.9 float64 arrays of the batch budget (numpy 2.4),
-    # at n = 1600, where a batch of 20 replicates, held once, is 3.9 of them,
-    # and at 11.5 at n = 400.  16 leaves 34 % for other numpy versions.
+    # The study peaks at 11.5 float64 arrays of the batch budget (numpy 2.4),
+    # at n = 400, and at 11.4 at n = 1600, where a batch of 20 replicates,
+    # held once, is 3.9 of them.  16 leaves 39 % for other numpy versions.
     assert traced_peak(BENCH_CONFIG) <= 16 * 8 * simulation._BATCH_ELEMENTS
     # 200 replications fill the largest batch at every n, as 400 do; 100
     # leave the n = 100 batch short of the budget.

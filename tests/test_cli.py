@@ -233,6 +233,15 @@ class TestFunctional:
                            "--functional", "cvar", "--level", "0.9")
         assert json.loads(out)["process_source"] == "centered_two_step"
 
+    @pytest.mark.parametrize("functional,message", [
+        ("gastwirth_j", "1 - L(1 - alpha) rounds to 0"),
+        ("staudte_r", "1 - alpha/2 rounds to 1"),
+    ])
+    def test_a_level_that_rounds_away_is_a_domain_error(self, capsys, functional, message):
+        code, out, err = run(capsys, "--command", "functional", "--input", fx("p0.csv"),
+                             "--response", "y", "--functional", functional, "--level", "1e-17")
+        assert (code, out, err) == (2, "", f"error:domain: alpha=1e-17 is too small: {message}\n")
+
     def test_lorenz_of_a_process_with_negative_values_is_a_domain_error(self, capsys):
         code, _, err = run(capsys, "--command", "functional", "--input",
                            fx("n200.csv"), "--response", "y", "--covariates",
@@ -416,6 +425,37 @@ class TestSimulate:
         assert err.startswith("error:config: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("text,message", [
+        (None, "error:config: simulate requires --config with a JSON config file\n"),
+        ("{", "error:config: cannot parse config {path}: "),
+    ], ids=["no_config", "unparsable"])
+    def test_a_missing_or_unparsable_config(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        flags = []
+        if text is not None:
+            path.write_text(text)
+            flags = ["--config", str(path)]
+        code, out, err = run(capsys, "--command", "simulate", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(message.format(path=path)) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("p", [1, 0])
+    def test_functional_consistency_study_report(self, tmp_path, capsys, p):
+        path = self.write_config(tmp_path, study="functional_consistency", functional="cvar",
+                                 level=0.8, p=p, beta=[1.5] * p)
+        config = sim.SimulationConfig(
+            n_grid=(30, 60), p=p, beta0=0.5, beta=(1.5,) * p,
+            error_dist=sim.ErrorDistribution("standard_normal"), design="equispaced",
+            lam=0.5, replications=2, seed=9)
+        report = sim.functional_consistency_study(config, "cvar", 0.8)
+        code, out, _ = run(capsys, "--command", "simulate", "--config", str(path))
+        assert (code, json.loads(out)) == (0, [json.loads(report.to_json())])
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert main(["--command", "simulate", "--config", str(path), "--format", "csv",
+                     "--output", str(got)]) == 0
+        sim.reports_to_csv([report], want)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_csv_without_output_runs_no_study(self, tmp_path, capsys, monkeypatch):
         path = self.write_config(tmp_path)
         calls = count_calls(monkeypatch, sim, "generate")
@@ -464,6 +504,11 @@ class TestFlagsBeforeWork:
         (["--command", "functional", "--input", fx("p0.csv"), "--response", "y",
           "--functional", "cvar", "--level", "0.5", "--format", "csv"],
          "error:config: csv format requires --output\n"),
+        (["--command", "functional", "--input", fx("p0.csv"), "--response", "y",
+          "--functional", "cvar"], "error:config: --level is required for a functional run\n"),
+        (["--command", "fit", "--input", fx("p0.csv"), "--response", "y",
+          "--alpha", "0.5,abc"],
+         "error:config: bad --alpha list: could not convert string to float: 'abc'\n"),
     ])
     def test_input_is_not_read(self, capsys, monkeypatch, argv, message):
         calls = count_calls(monkeypatch, cli, "read_csv_dataset")
@@ -493,6 +538,25 @@ class TestErrors:
             assert (code, out, calls) == (2, "", [])
             assert err == (f"error:config: column {column!r} is named twice "
                            "in --response and --covariates\n")
+
+    @pytest.mark.parametrize("text,covariates,message", [
+        ("y,x\n1,5\n2,5\n3,5\n4,5\n", "x",
+         "error:identifiability: centered scatter matrix V_n is singular\n"),
+        ("y,x\n1,2\n3,4\n", "x", "error:data: need n >= p + 2 observations, got n=2, p=1\n"),
+        ("", "", "error:input: {path}: empty file, header row required\n"),
+    ], ids=["constant_covariate", "too_few_rows", "empty_file"])
+    def test_a_file_the_fit_refuses(self, tmp_path, capsys, text, covariates, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "--command", "fit", "--input", str(path),
+                             "--response", "y", "--covariates", covariates)
+        assert (code, out, err) == (2, "", message.format(path=path))
+
+    def test_a_directory_as_input_cannot_be_read(self, tmp_path, capsys):
+        code, out, err = run(capsys, "--command", "fit", "--input", str(tmp_path),
+                             "--response", "y")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error:input: cannot read {tmp_path}: ") and err.count("\n") == 1
 
     def test_bad_cell_row_localized(self, capsys):
         code, _, err = run(capsys, "--command", "fit", "--input", fx("bad_cell.csv"),

@@ -204,6 +204,26 @@ class TestStaudteR:
             staudte_r(proc_of(-2, -1, 0), 0.1)
 
 
+@pytest.mark.parametrize("functional,alpha,message", [
+    (lorenz, 1.5, "alpha must be in (0, 1], got 1.5"),
+    (gastwirth_j, 0.0, "alpha must be in (0, 1), got 0.0"),
+    (gastwirth_j, 1.0, "alpha must be in (0, 1), got 1.0"),
+    (staudte_r, 0.0, "alpha must be in (0, 1), got 0.0"),
+    (staudte_r, 1.0, "alpha must be in (0, 1), got 1.0"),
+    # 1 - alpha and 1 - alpha / 2 round to 1 at these levels: the error
+    # names the caller's level and the rounding, not a level of 1 or a
+    # degenerate sample.
+    (gastwirth_j, 1e-17, "alpha=1e-17 is too small: 1 - L(1 - alpha) rounds to 0"),
+    (staudte_r, 1e-17, "alpha=1e-17 is too small: 1 - alpha/2 rounds to 1"),
+    (staudte_r, 5e-324, "alpha=5e-324 is too small: 1 - alpha/2 rounds to 1"),
+], ids=["lorenz-1.5", "gastwirth_j-0", "gastwirth_j-1", "staudte_r-0", "staudte_r-1",
+        "gastwirth_j-1e-17", "staudte_r-1e-17", "staudte_r-5e-324"])
+def test_a_level_outside_the_domain_is_refused(functional, alpha, message):
+    with pytest.raises(DomainError) as info:
+        functional(proc_of(*range(1, 11)), alpha)
+    assert str(info.value) == message
+
+
 class TestAgainstDirectSampleFormulas:
     """Functionals of the empirical process equal independent direct formulas."""
 

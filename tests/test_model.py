@@ -56,6 +56,11 @@ class TestOrderIndex:
         with pytest.raises(DomainError):
             order_index(1.0, 10)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_an_empty_sample(self, n):
+        with pytest.raises(DomainError, match=f"n must be >= 1, got {n}"):
+            order_index(0.5, n)
+
     def test_decimal_level_is_read_exactly(self):
         # 100 * 0.55 is 55.00000000000001 in binary
         assert order_index(0.55, 100) == 55
@@ -99,6 +104,11 @@ class TestEmpiricalQuantileProcess:
         with pytest.raises(DataError):
             empirical_quantile_process([])
 
+    @pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0, 4.0]], 5.0])
+    def test_rejects_a_sample_not_one_dimensional(self, values):
+        with pytest.raises(DataError, match="need a one-dimensional sample"):
+            empirical_quantile_process(values)
+
     @given(values=arrays(np.float64, st.integers(min_value=1, max_value=40),
                          elements=finite_floats))
     def test_nondecreasing_in_alpha(self, values):
@@ -131,6 +141,14 @@ class TestDataset:
     def test_rejects_nan(self):
         with pytest.raises(DataError):
             Dataset(y=np.array([1.0, np.nan, 2.0]), x=np.zeros((3, 0)))
+
+    @pytest.mark.parametrize("y,x,message", [
+        (np.zeros((4, 1)), np.zeros((4, 1)), "y must be one-dimensional"),
+        (np.zeros(4), np.zeros(4), "x must be two-dimensional"),
+    ])
+    def test_rejects_wrong_dimensions(self, y, x, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(y=y, x=x)
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(DataError):

@@ -118,14 +118,19 @@ def test_a_band_of_exact_rows_gets_the_full_fits_optimum(monkeypatch):
     assert got.dispersion == want.dispersion
 
 
-def test_a_singular_subsample_goes_straight_to_the_full_fit(monkeypatch):
-    # A 0/1 column that is 1 on five rows, none of them subsample rows: the
-    # subsample's (1, X) is rank deficient, so no subsample or band is solved.
+def singular_subsample_set():
+    """A 0/1 column that is 1 on five rows, none of them subsample rows: the
+    subsample's (1, X) is rank deficient."""
     rng = np.random.default_rng(4)
     x = np.zeros((3000, 2))
     x[:, 0] = rng.uniform(0.0, 1.0, 3000)
     x[[1, 3, 5, 7, 9], 1] = 1.0
-    ds = Dataset(y=x[:, 0] + rng.standard_normal(3000), x=x)
+    return Dataset(y=x[:, 0] + rng.standard_normal(3000), x=x)
+
+
+def test_a_singular_subsample_goes_straight_to_the_full_fit(monkeypatch):
+    # No subsample or band is solved.
+    ds = singular_subsample_set()
     want = full_fit(ds, 0.5, monkeypatch)
     full, solves = record(monkeypatch)
     with warnings.catch_warnings():
@@ -134,6 +139,25 @@ def test_a_singular_subsample_goes_straight_to_the_full_fit(monkeypatch):
     assert [v.hex() for v in got.beta_tilde] == [v.hex() for v in want.beta_tilde]
     assert got.iterations == want.iterations
     assert full == [1] and solves[True] == [] and len(solves[False]) == 1
+
+
+def test_a_batch_with_one_singular_subsample_keeps_each_lone_fit(monkeypatch):
+    # The middle set's subsample is rank deficient: the other two sets'
+    # subsamples and bands are solved without it, and it alone is solved in
+    # full.
+    rng = np.random.default_rng(11)
+    datasets = [continuous_set(rng, 3000, 2), singular_subsample_set(),
+                continuous_set(rng, 3000, 2)]
+    want = [fit_r_estimator(ds, 0.5) for ds in datasets]
+    full, solves = record(monkeypatch)
+    y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = list(_fit_slopes(y, x, 0.5))
+    assert [([v.hex() for v in b], k) for b, k in got] == [
+        ([v.hex() for v in est.beta_tilde], est.iterations) for est in want]
+    assert full == [1]
+    assert [len(k) for k in solves[False]] == [2, 1] and [len(k) for k in solves[True]] == [2]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -161,8 +185,8 @@ def test_a_row_of_weight_c_counts_as_c_copies_of_it(copies):
     rng = np.random.default_rng(copies)
     x = rng.uniform(0.0, 1.0, (1, 300, 2))
     y = 1.0 + x.sum(axis=2) + rng.standard_normal((1, 300))
-    u = np.ones(y.shape)
-    u[0, 0] = copies
+    u = np.ones(y.shape[1])
+    u[0] = copies
     _, r, _ = regression._interior_point(y, x, 0.3, u=u)
     weighted = (u * check_loss_vec(r, 0.3)).sum()
     more = np.zeros(copies - 1, dtype=int)

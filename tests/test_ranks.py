@@ -183,6 +183,11 @@ class TestJaeckelDispersion:
         with pytest.raises(DomainError):
             jaeckel_dispersion(np.array([0.0]), self.ds4(), 1.0)
 
+    @pytest.mark.parametrize("b", [[], [0.0, 1.0]])
+    def test_rejects_slopes_of_the_wrong_length(self, b):
+        with pytest.raises(DataError, match="b must have length 1"):
+            jaeckel_dispersion(np.array(b), self.ds4(), 0.5)
+
     def test_convex_along_segments(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -250,6 +255,12 @@ class TestFitREstimator:
         ds = Dataset(y=np.arange(5.0), x=np.zeros((5, 0)))
         with pytest.raises(DataError):
             fit_r_estimator(ds, 0.5)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_rejects_a_level_outside_the_unit_interval(self, lam):
+        ds = Dataset(y=np.arange(5.0), x=np.arange(5.0)[:, None] % 3)
+        with pytest.raises(DomainError, match=f"lambda must be in \\(0, 1\\), got {lam}"):
+            fit_r_estimator(ds, lam)
 
     def test_golden_fit_is_the_pinned_certified_optimum(self):
         # The n200 fit lands on this exact vertex.  Its certificate, checked

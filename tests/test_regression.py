@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quantfunc import (Dataset, DomainError, IdentifiabilityError,
+from quantfunc import (Dataset, DataError, DomainError, IdentifiabilityError,
                        averaged_regression_quantile, empirical_quantile_process,
                        fit_regression_quantile)
 from quantfunc.cli import read_csv_dataset
@@ -228,3 +228,12 @@ class TestAveragedRegressionQuantile:
         fit = fit_regression_quantile(ds, 0.6)
         direct = np.mean(fit.beta0_hat + ds.x @ fit.beta_hat)
         assert averaged_regression_quantile(fit, ds) == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_rejects_a_dataset_of_another_p(self, p):
+        rng = np.random.default_rng(41)
+        fit = fit_regression_quantile(Dataset(y=rng.standard_normal(20),
+                                              x=rng.standard_normal((20, 2))), 0.6)
+        ds = Dataset(y=rng.standard_normal(20), x=rng.standard_normal((20, p)))
+        with pytest.raises(DataError, match="dimensions do not match"):
+            averaged_regression_quantile(fit, ds)

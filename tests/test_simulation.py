@@ -116,6 +116,20 @@ class TestErrorDistribution:
         with pytest.raises(DomainError):
             ErrorDistribution("cauchy")
 
+    @pytest.mark.parametrize("kind", ["shifted_exponential", "uniform_centered"])
+    def test_rejects_a_parameter_that_is_not_positive(self, kind):
+        with pytest.raises(DomainError, match=f"{kind} needs a positive parameter"):
+            ErrorDistribution(kind, 0)
+
+    @pytest.mark.parametrize("kind,level,message", [
+        ("lorenz", 0.5, "no analytic truth for functional 'lorenz'"),
+        ("cvar", 1.0, "cvar level must be in \\(0, 1\\), got 1.0"),
+        ("cvar", 0.0, "cvar level must be in \\(0, 1\\), got 0.0"),
+    ])
+    def test_true_functional_refuses(self, kind, level, message):
+        with pytest.raises(DomainError, match=message):
+            ErrorDistribution("standard_normal").true_functional(kind, level)
+
 
 class TestGenerate:
     def test_null_model_returns_errors(self):
@@ -223,6 +237,15 @@ class TestConfigValidation:
     def test_negative_seed(self):
         with pytest.raises(DomainError, match="seed"):
             small_config(seed=-1)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"design": "bogus"}, "unknown design 'bogus'"),
+        ({"lam": 1.0}, "lambda must be in"),
+        ({"replications": 0}, "invalid replications or n_grid"),
+    ])
+    def test_rejects_a_bad_field(self, overrides, message):
+        with pytest.raises(DomainError, match=message):
+            small_config(**overrides)
 
     def test_equispaced_needs_p1(self):
         cfg = small_config(p=2, beta=(1.0, 1.0), design="equispaced")
