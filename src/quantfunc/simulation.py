@@ -1,19 +1,20 @@
 """Monte Carlo harness for the consistency and rate claims of the estimators.
 
-Generates linear-model data with known ground truth, runs the rank-based
-slope estimator and the averaged two-step process on each replication, and
-summarizes errors as per-sample-size RMSEs with a fitted log-log slope.
+Generates linear-model data with known ground truth and summarizes errors
+as per-sample-size RMSEs with a log-log slope.  A study is a table of named
+metrics, read in one pass that draws and fits each replicate once.
 
 Reproducibility: the generator is the counter-based Philox engine keyed by
 ``SeedSequence([seed, n, replicate])``, so every (replicate, n) pair owns an
 independent substream and execution order cannot change results.  Every
-replicate is drawn by :func:`generate`, and the replicates of one n are
-fitted in batches whose size and members cannot change results either: each
+replicate is drawn by :func:`generate`, with its hidden errors held in its
+batch, and the batches' size and members cannot change results either: each
 replicate's slopes are bitwise the ones it gets when fitted alone.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -41,8 +42,8 @@ COVERAGE_C = 5.0
 # responses a batch of replicates holds (see _replicates): 163 replicates at
 # n = 100, 40 at n = 400 and 20 at n = 1600, whose fits solve a band of 436
 # rows and its two glob rows each.  rate_study_two_step on perfbench's
-# monte_carlo configuration peaks at 1.51 MB (11.5 float64 arrays of this
-# size, tracemalloc, numpy 2.4), at n = 400, and at 11.4 arrays at n = 1600.
+# monte_carlo configuration peaks at 1.76 MB (13.4 float64 arrays of this
+# size, tracemalloc, numpy 2.4) at n = 1600, where a batch holds its errors.
 # In-process, over 20 interleaved rounds of that operation, batches of 20 at
 # n = 1600 took 0.85 of the time of batches of 10; batches of 40 took 0.77
 # but peaked at 2.86 MB.  No batch of two or more solves over 8192 rows,
@@ -83,6 +84,8 @@ class ErrorDistribution:
     def __post_init__(self):
         if self.kind not in ERROR_DISTS:
             raise DomainError(f"unknown error distribution {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise DomainError(f"{self.kind} needs a finite parameter, got {self.param}")
         if self.kind != "standard_normal" and self.param <= 0:
             raise DomainError(f"{self.kind} needs a positive parameter")
 
@@ -171,6 +174,10 @@ class SimulationConfig:
             raise DomainError(f"unknown design {self.design!r}")
         if len(self.beta) != self.p:
             raise DomainError(f"beta must have length p={self.p}")
+        if not math.isfinite(self.beta0):
+            raise DomainError(f"beta0 must be finite, got {self.beta0}")
+        if not all(math.isfinite(b) for b in self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta}")
         if not self.alphas or not all(0.0 < a < 1.0 for a in self.alphas):
             raise DomainError("alpha grid must be nonempty and lie inside (0, 1)")
         if not 0.0 < self.lam < 1.0:
@@ -245,36 +252,56 @@ def generate(config: SimulationConfig, n: int, replicate: int) -> tuple[Dataset,
     return Dataset(y=(config.beta0 + x @ np.asarray(config.beta, dtype=float)) + z, x=x), z
 
 
-def _replicates(config: SimulationConfig, n: int, measure, errors=None) -> list:
-    """``measure(ds, e, slopes)`` of each replicate at sample size n, in
-    replicate order, with ``e = errors(z)`` of its hidden errors z, or None.
+@dataclass(frozen=True)
+class _Replicate:
+    """One replicate as a metric reads it (see :func:`_replicates`); its
+    process and error order statistics are formed on first read, once."""
 
-    Each replicate is drawn by :func:`generate`, a batch at a time, and
-    copied into the batch's responses (B, n) and designs (B, n, p), whose
-    slopes are fitted together, each the bits of a lone
-    :func:`fit_r_estimator`.  A batch holds at most twice
-    ``_BATCH_ELEMENTS`` responses, and its interior point solves at most
-    ``_BATCH_ELEMENTS`` rows (see :func:`regression._batch_size`).
-    ``errors`` reads z as it is drawn, so that a batch holds no errors while
-    it is fitted, and ``measure`` gets a :class:`Dataset` of one replicate's
-    rows at a time, so a batch is held once.  The studies read only the
-    slopes, so no dispersion is computed.
+    config: SimulationConfig
+    ds: Dataset
+    z: np.ndarray
+    slopes: np.ndarray
+    ranks: np.ndarray
+
+    @functools.cached_property
+    def process(self):
+        return averaged_two_step_process(self.ds, self.config.lam, slopes=self.slopes)
+
+    @functools.cached_property
+    def order_statistics(self) -> np.ndarray:
+        return np.sort(self.z)[self.ranks]
+
+    def sup_deviation(self, nuisance) -> float:
+        return np.max(np.abs(self.process.values[self.ranks] - nuisance - self.order_statistics))
+
+
+def _replicates(config: SimulationConfig, n: int, metrics: dict) -> list:
+    """``[metric(rep) for metric in metrics.values()]`` of each replicate at
+    n, in order: ``rep`` holds its dataset, hidden errors z, fitted slopes and
+    the 0-based ranks of the alpha grid at n.
+
+    Each replicate is drawn once by :func:`generate` into its batch's
+    responses (B, n), designs (B, n, p) and errors (B, n), whose slopes are
+    fitted together, each the bits of a lone :func:`fit_r_estimator`.  A
+    batch holds at most twice ``_BATCH_ELEMENTS`` responses and its interior
+    point solves at most ``_BATCH_ELEMENTS`` rows (see
+    :func:`regression._batch_size`).  Each metric reads a :class:`Dataset` of
+    one replicate's rows, so a batch is held once; no dispersion is computed.
     """
     size = min(_batch_size(n, config.p + 1, _BATCH_ELEMENTS), config.replications)
-    y, x, measured = np.empty((size, n)), np.empty((size, n, config.p)), []
+    y, x, z = np.empty((size, n)), np.empty((size, n, config.p)), np.empty((size, n))
+    ranks, measured = np.array([order_index(a, n) for a in config.alphas]) - 1, []
     for start in range(0, config.replications, size):
-        count, hidden = min(size, config.replications - start), []
+        count = min(size, config.replications - start)
         for k in range(count):
-            ds, z = generate(config, n, start + k)
+            ds, z[k] = generate(config, n, start + k)
             y[k], x[k] = ds.y, ds.x
-            hidden.append(None if errors is None else errors(z))
-        del ds, z
-        if config.p:
-            slopes = [b for b, _ in _fit_slopes(y[:count], x[:count], config.lam)]
-        else:
-            slopes = [np.zeros(0)] * count
-        measured.extend(measure(Dataset(y=y[k], x=x[k]), e, b)
-                        for k, (e, b) in enumerate(zip(hidden, slopes)))
+        del ds
+        slopes = ([b for b, _ in _fit_slopes(y[:count], x[:count], config.lam)] if config.p
+                  else [np.zeros(0)] * count)
+        reps = (_Replicate(config, Dataset(y=y[k], x=x[k]), z[k], b, ranks)
+                for k, b in enumerate(slopes))
+        measured.extend([metric(rep) for metric in metrics.values()] for rep in reps)
     return measured
 
 
@@ -298,33 +325,21 @@ def _summarize(metric, n_grid, errors_by_n) -> RateReport:
                       coverage=tuple(coverage), mean_error=tuple(mean_err))
 
 
+def _study(config: SimulationConfig, metrics: dict) -> list[RateReport]:
+    """One report per named metric, each replicate drawn and fitted once for all."""
+    by_n = [zip(*_replicates(config, n, metrics)) for n in config.n_grid]
+    return [_summarize(name, config.n_grid, errors) for name, *errors in zip(metrics, *by_n)]
+
+
 def rate_study_two_step(config: SimulationConfig) -> list[RateReport]:
     """Sup-over-alpha closeness of the averaged two-step process to the error
-    order statistics.
-
-    Returns two reports: deviations after removing the true nuisance
-    ``beta0 + x_bar'beta`` and after removing the response-mean estimate.
-    """
+    order statistics, in two reports: after removing the true nuisance
+    ``beta0 + x_bar'beta``, and after removing the response-mean estimate."""
     beta = np.asarray(config.beta, dtype=float)
-    sup_true, sup_mean = [], []
-    for n in config.n_grid:
-        idx = np.array([order_index(a, n) for a in config.alphas])
-
-        def deviations(ds, z_sorted, slopes):
-            proc = averaged_two_step_process(ds, config.lam, slopes=slopes)
-            b_vals = proc.values[idx - 1]
-            nuisance_true = config.beta0 + ds.x_mean @ beta
-            return (np.max(np.abs(b_vals - nuisance_true - z_sorted)),
-                    np.max(np.abs(b_vals - ds.y_mean - z_sorted)))
-
-        d_true, d_mean = zip(*_replicates(config, n, deviations,
-                                          lambda z: np.sort(z)[idx - 1]))
-        sup_true.append(d_true)
-        sup_mean.append(d_mean)
-    return [
-        _summarize("two_step_sup_dev_true_nuisance", config.n_grid, sup_true),
-        _summarize("two_step_sup_dev_mean_centered", config.n_grid, sup_mean),
-    ]
+    return _study(config, {
+        "two_step_sup_dev_true_nuisance":
+            lambda rep: rep.sup_deviation(config.beta0 + rep.ds.x_mean @ beta),
+        "two_step_sup_dev_mean_centered": lambda rep: rep.sup_deviation(rep.ds.y_mean)})
 
 
 def rate_study_r_estimator(config: SimulationConfig) -> RateReport:
@@ -332,12 +347,8 @@ def rate_study_r_estimator(config: SimulationConfig) -> RateReport:
     if config.p < 1:
         raise DomainError("slope rate study needs p >= 1")
     beta = np.asarray(config.beta, dtype=float)
-
-    def error(ds, e, slopes):
-        return float(np.linalg.norm(slopes - beta))
-
-    errors_by_n = [_replicates(config, n, error) for n in config.n_grid]
-    return _summarize("r_estimator_norm_error", config.n_grid, errors_by_n)
+    return _study(config, {"r_estimator_norm_error":
+                           lambda rep: float(np.linalg.norm(rep.slopes - beta))})[0]
 
 
 def functional_consistency_study(config: SimulationConfig, kind: str,
@@ -345,10 +356,5 @@ def functional_consistency_study(config: SimulationConfig, kind: str,
     """Error of a functional of the centered two-step process against its
     population value for the configured error law."""
     truth = config.error_dist.true_functional(kind, level)  # refuses any other kind
-
-    def error(ds, e, slopes):
-        proc = centered_process(averaged_two_step_process(ds, config.lam, slopes=slopes))
-        return getattr(fn, kind)(proc, level).value - truth
-
-    errors_by_n = [_replicates(config, n, error) for n in config.n_grid]
-    return _summarize(f"functional_{kind}_{level}", config.n_grid, errors_by_n)
+    return _study(config, {f"functional_{kind}_{level}": lambda rep: getattr(fn, kind)(
+        centered_process(rep.process), level).value - truth})[0]

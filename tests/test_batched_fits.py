@@ -20,7 +20,8 @@ import quantfunc.ranks as ranks
 import quantfunc.regression as regression
 import quantfunc.simulation as simulation
 from quantfunc import (DataError, Dataset, ErrorDistribution, IdentifiabilityError,
-                       SimulationConfig, SolverFailure, design_diagnostics, fit_r_estimator,
+                       SimulationConfig, SolverFailure, averaged_two_step_process,
+                       design_diagnostics, fit_r_estimator,
                        functional_consistency_study, generate, jaeckel_dispersion,
                        rate_study_r_estimator, rate_study_two_step)
 from quantfunc.ranks import _fit_slopes
@@ -261,21 +262,61 @@ def test_studies_compute_no_dispersion(monkeypatch):
     assert est.dispersion == dispersion(est.beta_tilde, ds, config.lam)
 
 
-@pytest.mark.parametrize("study", [
-    rate_study_r_estimator, rate_study_two_step,
-    lambda config: functional_consistency_study(config, "cvar", 0.8)],
-    ids=["r_estimator_rate", "two_step_rate", "functional_consistency"])
-def test_a_study_draws_every_replicate_through_generate(study, monkeypatch):
-    calls = []
+def cvar_study(config):
+    return functional_consistency_study(config, "cvar", 0.8)
+
+
+def public_studies(config):
+    """The reports of the three public studies, by metric."""
+    reports = [*rate_study_two_step(config), rate_study_r_estimator(config), cvar_study(config)]
+    return {r.metric: r.to_json() for r in reports}
+
+
+def one_pass(config):
+    """The three public studies' metric tables, merged and run as one study."""
+    tables = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_study", lambda config, metrics: [tables.append(metrics)])
+        for study in (rate_study_two_step, rate_study_r_estimator, cvar_study):
+            study(config)
+    assert len(tables) == 3  # each public study is one _study call
+    return simulation._study(config, {name: metric for table in tables
+                                      for name, metric in table.items()})
+
+
+@pytest.mark.parametrize("study,processes", [
+    (rate_study_r_estimator, 0), (rate_study_two_step, 1), (cvar_study, 1), (one_pass, 1)],
+    ids=["r_estimator_rate", "two_step_rate", "functional_consistency", "one_pass"])
+def test_a_study_draws_every_replicate_through_generate(study, processes, monkeypatch):
+    # Each replicate is drawn once, fitted once and its process formed at
+    # most once, however many metrics read it.
+    calls, fitted, formed = [], [], []
 
     def counting(config, n, replicate):
         calls.append((n, replicate))
         return generate(config, n, replicate)
 
+    def fitting(y, x, lam):
+        fitted.append(len(y))
+        return _fit_slopes(y, x, lam)
+
+    def forming(*args, **kwargs):
+        formed.append(1)
+        return averaged_two_step_process(*args, **kwargs)
+
     monkeypatch.setattr(simulation, "generate", counting)
+    monkeypatch.setattr(simulation, "_fit_slopes", fitting)
+    monkeypatch.setattr(simulation, "averaged_two_step_process", forming)
     config = replace(BENCH_CONFIG, replications=5)
-    study(config)
-    assert calls == [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+    reports = study(config)
+    monkeypatch.undo()
+    drawn = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+    assert calls == drawn
+    assert sum(fitted) == len(drawn)
+    assert len(formed) == processes * len(drawn)
+    got = {r.metric: r.to_json() for r in (reports if isinstance(reports, list) else [reports])}
+    public = public_studies(config)
+    assert got == (public if study is one_pass else {metric: public[metric] for metric in got})
 
 
 def test_a_failing_study_raises_what_the_first_lone_fit_raises(monkeypatch):
@@ -317,13 +358,13 @@ def test_a_study_batch_holds_the_bits_of_generate(design, p, law, monkeypatch):
     monkeypatch.setattr(simulation, "_BATCH_ELEMENTS", 3 * n)  # batches of 3, 3 and 1
     rows = []
 
-    def read(ds, z, slopes):
-        for array in (ds.y, ds.x):
+    def read(rep):
+        for array in (rep.ds.y, rep.ds.x):
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        rows.append((ds.y.tobytes(), ds.x.tobytes(), z))
+        rows.append((rep.ds.y.tobytes(), rep.ds.x.tobytes(), rep.z.tobytes()))
 
-    simulation._replicates(config, n, read, lambda z: z.tobytes())
+    simulation._replicates(config, n, {"read": read})
     want = []
     for rep in range(config.replications):
         ds, z = generate(config, n, rep)
@@ -426,9 +467,9 @@ def traced_peak(config):
 
 def test_study_memory_follows_the_batch_size_not_the_replications():
     rate_study_two_step(replace(BENCH_CONFIG, replications=2))  # lazy imports and caches
-    # The study peaks at 11.5 float64 arrays of the batch budget (numpy 2.4),
-    # at n = 400, and at 11.4 at n = 1600, where a batch of 20 replicates,
-    # held once, is 3.9 of them.  16 leaves 39 % for other numpy versions.
+    # The study peaks at 13.4 float64 arrays of the batch budget (numpy 2.4),
+    # at n = 1600, where a batch of 20 replicates, held once with their
+    # errors, is 5.9 of them.  16 leaves 19 % for other numpy versions.
     assert traced_peak(BENCH_CONFIG) <= 16 * 8 * simulation._BATCH_ELEMENTS
     # 200 replications fill the largest batch at every n, as 400 do; 100
     # leave the n = 100 batch short of the budget.

@@ -411,6 +411,13 @@ class TestSimulate:
         ({"study": "functional_consistency", "functional": "cvar", "level": 0.8,
           "n_grid": [40]}, "need at least two distinct sample sizes"),
         ({"study": "two_step_rate", "alphas": []}, "alpha grid must be nonempty"),
+        # JSON's NaN and Infinity: a NaN error parameter or intercept once ran
+        # the study into "error:domain: non-finite entries in y or x".
+        ({"error_dist": "shifted_exponential", "error_param": float("nan")},
+         "shifted_exponential needs a finite parameter, got nan"),
+        ({"error_param": float("inf")}, "standard_normal needs a finite parameter, got inf"),
+        ({"beta0": float("nan")}, "beta0 must be finite, got nan"),
+        ({"beta": [float("inf")]}, "beta must be finite, got (inf,)"),
     ])
     def test_bad_config_exits_with_one_config_error(self, tmp_path, capsys, monkeypatch,
                                                     config, message):

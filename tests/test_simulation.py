@@ -7,7 +7,7 @@ from scipy.stats import norm
 from quantfunc import (DomainError, ErrorDistribution, SimulationConfig,
                        functional_consistency_study, generate,
                        rate_study_r_estimator, rate_study_two_step)
-from quantfunc.simulation import reports_to_csv
+from quantfunc.simulation import ERROR_DISTS, reports_to_csv
 
 
 def small_config(**overrides):
@@ -120,6 +120,14 @@ class TestErrorDistribution:
     def test_rejects_a_parameter_that_is_not_positive(self, kind):
         with pytest.raises(DomainError, match=f"{kind} needs a positive parameter"):
             ErrorDistribution(kind, 0)
+
+    @pytest.mark.parametrize("kind", ERROR_DISTS)
+    @pytest.mark.parametrize("param", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_parameter_that_is_not_finite(self, kind, param):
+        # NaN once passed the positivity test, and the normal law's unused
+        # parameter was never checked.
+        with pytest.raises(DomainError, match=f"{kind} needs a finite parameter, got {param}"):
+            ErrorDistribution(kind, param)
 
     @pytest.mark.parametrize("kind,level,message", [
         ("lorenz", 0.5, "no analytic truth for functional 'lorenz'"),
@@ -244,6 +252,19 @@ class TestConfigValidation:
         ({"replications": 0}, "invalid replications or n_grid"),
     ])
     def test_rejects_a_bad_field(self, overrides, message):
+        with pytest.raises(DomainError, match=message):
+            small_config(**overrides)
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"beta0": float("nan")}, "beta0 must be finite, got nan"),
+        ({"beta0": -float("inf")}, "beta0 must be finite, got -inf"),
+        ({"beta": (float("inf"),)}, "beta must be finite, got \\(inf,\\)"),
+        ({"p": 2, "beta": (1.0, float("nan")), "design": "iid_normal"},
+         "beta must be finite, got \\(1.0, nan\\)"),
+    ])
+    def test_rejects_a_coefficient_that_is_not_finite(self, overrides, message):
+        # A NaN intercept once ran the study into "non-finite entries in y or
+        # x", and an infinite slope warned of 0 * inf in generate's matmul.
         with pytest.raises(DomainError, match=message):
             small_config(**overrides)
 
