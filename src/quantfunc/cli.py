@@ -291,8 +291,12 @@ def _load_sim_config(args) -> tuple[sim.SimulationConfig, str, tuple]:
             error_dist=sim.ErrorDistribution(raw.get("error_dist", "standard_normal"),
                                              _real(raw.get("error_param", 1.0))),
             design=raw.get("design", "iid_uniform_cube"), **optional)
-        extra = ((raw["functional"], _real(raw["level"]))
-                 if study == "functional_consistency" else ())
+        if study == "r_estimator_rate" and config.p < 1:
+            raise DomainError("slope rate study needs p >= 1")
+        extra = ()
+        if study == "functional_consistency":  # refuses a level with no population value
+            extra = (raw["functional"], _real(raw["level"]))
+            config.error_dist.true_functional(*extra)
     except (DomainError, TypeError, ValueError, OverflowError) as exc:
         raise CliError("config", str(exc)) from exc
     return config, study, extra
@@ -330,12 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--command", required=True, choices=("fit", "functional", "simulate"))
     parser.add_argument("--input", help="input CSV path (fit, functional)")
     parser.add_argument("--response", help="response column name")
-    parser.add_argument("--covariates", default="",
+    parser.add_argument("--covariates",
                         help="comma-separated covariate column names (may be empty)")
-    parser.add_argument("--alpha", default="0.5",
-                        help="comma-separated quantile levels in (0,1)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                        help="level for the rank-based slope estimate")
+    parser.add_argument("--alpha", help="comma-separated quantile levels in (0,1) (default 0.5)")
+    parser.add_argument("--lambda", dest="lam", type=float,
+                        help="level for the rank-based slope estimate (default 0.5)")
     parser.add_argument("--functional", help="cvar|mean_excess|lorenz|gastwirth_j|staudte_r")
     parser.add_argument("--level", type=float, help="functional level/threshold")
     parser.add_argument("--output", help="report destination (stdout when omitted)")
@@ -345,13 +348,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags each command reads, by destination; any other flag given is
+# refused.  A study reads its lambda and alphas from the config.
+_READS = {
+    "fit": ("input", "response", "covariates", "alpha", "lam", "output", "format"),
+    "functional": ("input", "response", "covariates", "lam", "functional", "level", "output",
+                   "format"),
+    "simulate": ("config", "seed", "output", "format"),
+}
+_STUDY_KEYS = {"alpha": "alphas", "lam": "lambda"}
+
+
 def _check_flags(args) -> None:
     """Parse and check every flag, before any input is read."""
+    unread = [dest for dest, value in vars(args).items()
+              if value is not None and dest not in ("command",) + _READS[args.command]]
+    if unread:
+        flags = ", ".join("--lambda" if dest == "lam" else f"--{dest}" for dest in unread)
+        keys = [repr(_STUDY_KEYS[dest]) for dest in unread
+                if args.command == "simulate" and dest in _STUDY_KEYS]
+        hint = f"; set {' and '.join(keys)} in the config" if keys else ""
+        raise CliError("config", f"{args.command} does not read {flags}{hint}")
     # Header cells are stripped, so a name with a blank around it is too.
     args.response = (args.response or "").strip()
-    args.covariates = [c.strip() for c in args.covariates.split(",") if c.strip()]
+    args.covariates = [c.strip() for c in (args.covariates or "").split(",") if c.strip()]
+    args.lam = 0.5 if args.lam is None else args.lam
+    alpha = "0.5" if args.alpha is None else args.alpha
     try:
-        args.alphas = [float(a) for a in args.alpha.split(",") if a.strip()]
+        args.alphas = [float(a) for a in alpha.split(",") if a.strip()]
     except ValueError as exc:
         raise CliError("config", f"bad --alpha list: {exc}") from exc
     for a in args.alphas:
@@ -373,6 +397,10 @@ def _check_flags(args) -> None:
                                      f"choose from {sorted(fn.FUNCTIONALS)}")
         if args.level is None:
             raise CliError("config", "--level is required for a functional run")
+        try:
+            fn.check_level(args.functional, args.level)
+        except DomainError as exc:
+            raise CliError("config", str(exc)) from exc
     if args.format == "csv" and not args.output:
         raise CliError("config", "csv format requires --output")
 

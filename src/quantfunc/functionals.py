@@ -84,6 +84,20 @@ def linear_functional(proc: StepQuantileProcess, weight) -> float:
     return math.fsum(proc.values * quad(weight, proc.n))
 
 
+def check_level(kind: str, level: float) -> None:
+    """Raise :class:`DomainError` unless ``level`` is in the domain of the
+    functional ``kind``: (0, 1] for ``lorenz``, any threshold but NaN for
+    ``mean_excess`` and (0, 1) for the others."""
+    if kind == "lorenz":
+        if not 0.0 < level <= 1.0:
+            raise DomainError(f"alpha must be in (0, 1], got {level}")
+    elif kind == "mean_excess":
+        if math.isnan(level):
+            raise DomainError(f"mean_excess threshold must be a number, got {level}")
+    elif not 0.0 < level < 1.0:
+        raise DomainError(f"alpha must be in (0, 1), got {level}")
+
+
 def cvar(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
     """Expected shortfall: mean of the ``n - ceil(n alpha)`` order statistics
     above the alpha-quantile."""
@@ -97,6 +111,7 @@ def cvar(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
 
 def mean_excess(proc: StepQuantileProcess, gamma: float) -> FunctionalEstimate:
     """Mean overshoot above a threshold, conditional on exceedance."""
+    check_level("mean_excess", gamma)
     exceed = proc.values[proc.values >= gamma]
     if exceed.size == 0:
         raise DomainError(f"no process values exceed threshold {gamma}")
@@ -110,8 +125,7 @@ def lorenz(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
     Defined for nonnegative processes with positive mean; alpha may be 1,
     where the value is exactly 1.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    check_level("lorenz", alpha)
     v = proc.values
     if np.any(v < 0):
         raise DomainError("Lorenz curve needs nonnegative process values")
@@ -129,8 +143,7 @@ def lorenz(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
 
 def gastwirth_j(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
     """Share ratio L(alpha) / (1 - L(1 - alpha)) of bottom vs top fractions."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    check_level("gastwirth_j", alpha)
     num = lorenz(proc, alpha).value
     denom = 1.0 - lorenz(proc, 1.0 - alpha).value
     if denom <= 0:  # the top share is at least alpha of the total
@@ -140,8 +153,7 @@ def gastwirth_j(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
 
 def staudte_r(proc: StepQuantileProcess, alpha: float) -> FunctionalEstimate:
     """Symmetric quantile ratio Q(alpha/2) / Q(1 - alpha/2)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
+    check_level("staudte_r", alpha)
     if 1.0 - alpha / 2.0 == 1.0:
         raise DomainError(f"alpha={alpha} is too small: 1 - alpha/2 rounds to 1")
     denom = proc(1.0 - alpha / 2.0)

@@ -131,7 +131,7 @@ def fit_regression_quantile(ds: Dataset, alpha: float) -> QuantileFit:
     coef = x[:q] - x[q:2 * q]
     d = np.clip(level - red[2 * q:2 * q + n], level - 1.0, level)
     a = d + (1.0 - level)
-    coef, _ = _vertex(ds.y, ds.x, level, a, d, _order(a, ds.y - a_design @ coef), None, 0)
+    coef, _ = _vertex(ds.y, ds.x, level, a, d, ds.y - a_design @ coef, None, 0)
     residuals = ds.y - a_design @ coef
     objective = float(np.sum(check_loss_vec(residuals, alpha)))
     scale = float(np.max(np.abs(residuals))) if n else 1.0
@@ -548,14 +548,14 @@ def _full_vertices(y: np.ndarray, x: np.ndarray, tau: float):
     """The certified vertices of a batch at level tau (see
     :func:`_certified_vertices`), every problem's LP solved on all its rows.
 
-    A vertex interpolates q independent observations ranked by how far the
-    interior point's ``a_i`` lie from {0, 1}, then by ``|residual|``, then by
-    index.  It is certified by :func:`_certify` against the dual bound
-    ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``.  The batch ranks every
-    problem's observations, tests the rank of its q lead rows and solves,
-    prices and certifies its first vertex in stacked calls.  Only a problem
-    whose lead rows are dependent or whose first vertex is not certified
-    goes on alone, to :func:`_vertex`.  Each ``(1, X)`` must have full rank.
+    A vertex interpolates q independent observations in the order of
+    :func:`_lead`.  It is certified by :func:`_certify` against the dual bound
+    ``d'r``, ``d = clip(a, 0, 1) - (1 - tau)``.  The batch selects each
+    problem's q lead rows, tests their rank and solves, prices and certifies
+    its first vertex in stacked calls.  Only a problem whose lead rows are
+    dependent or whose first vertex is not certified goes on alone, to
+    :func:`_vertex`, with those rows as its basis when they are independent.
+    Each ``(1, X)`` must have full rank.
 
     y and x are read in place and not copied, so a study batch is held once.
     After the interior point, the batch holds ``a``, ``w - z``, d and, while
@@ -573,37 +573,28 @@ def _full_vertices(y: np.ndarray, x: np.ndarray, tau: float):
             yield coef[k], int(iterations[k])
         else:
             basis = lead[k].tolist() if independent[k] else None
-            yield _vertex(y[k], x[k], tau, a[k], d[k], _order(a[k], r_ipm[k]), basis,
-                          int(iterations[k]))
-
-
-def _order(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The observations ranked by how far the interior point's ``a`` lies from
-    {0, 1}, then by ``|r|``, then by index, along the last axis."""
-    return np.lexsort((np.abs(r), -np.minimum(a, 1.0 - a)), axis=-1)
+            yield _vertex(y[k], x[k], tau, a[k], d[k], r_ipm[k], basis, int(iterations[k]))
 
 
 def _lead(a: np.ndarray, r: np.ndarray, q: int) -> np.ndarray:
-    """The first q columns of :func:`_order` of each problem of a batch, by
-    selection: only the observations whose first key is at most the q-th
-    least are ranked, so a batch is not sorted whole."""
+    """The q lead observations (B, q) of each problem of a batch: ranked by how
+    far the solver's ``a`` lies from {0, 1}, then by ``|r|``, then by index,
+    NaN keys last, so ``q = n`` gives the full order.  Only the observations
+    whose key is not above the q-th least, NaN among them, are sorted."""
     key = -np.minimum(a, 1.0 - a)
-    chosen = key <= np.partition(key, q - 1, axis=1)[:, q - 1:q]
+    chosen = ~(key > np.partition(key, q - 1, axis=1)[:, q - 1:q])
     counts = chosen.sum(axis=1)
-    if (counts < q).any():  # a NaN among the q least keys
-        return _order(a, r)[:, :q]
     rows, cols = np.nonzero(chosen)  # row by row, in index order
     ranked = cols[np.lexsort((cols, np.abs(r[rows, cols]), key[rows, cols], rows))]
     return ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(q)]
 
 
 def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarray,
-            order: np.ndarray, basis: list[int] | None,
-            iterations: int) -> tuple[np.ndarray, int]:
+            r: np.ndarray, basis: list[int] | None, iterations: int) -> tuple[np.ndarray, int]:
     """The certified vertex of one problem, responses y (n,) and design x
-    (n, p), from its solver's ``a``, dual weights ``d`` and observation
-    ``order`` (see :func:`_certified_vertices`), starting at ``basis``, or
-    with no basis at the first q independent observations in that order.
+    (n, p), from its solver's ``a``, dual weights ``d`` and residuals r,
+    starting at ``basis``, or with no basis at the first q independent
+    observations in the order of ``_lead(a, r, n)`` (see :func:`_lead`).
     Until a vertex is certified, the basis point of smallest index whose
     Koenker-Bassett multiplier lies outside ``[tau - 1, tau]`` leaves, and
     the point where the loss stops falling along that edge enters.  The
@@ -613,7 +604,7 @@ def _vertex(y: np.ndarray, x: np.ndarray, tau: float, a: np.ndarray, d: np.ndarr
     xb, q = x[None], x.shape[1] + 1
     if basis is None:
         basis = []
-        for i in order:
+        for i in _lead(a[None], r[None], y.shape[0])[0]:
             if np.linalg.matrix_rank(_augmented(x[basis + [i]])) > len(basis):
                 basis.append(int(i))
                 if len(basis) == q:

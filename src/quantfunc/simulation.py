@@ -172,6 +172,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.design not in DESIGNS:
             raise DomainError(f"unknown design {self.design!r}")
+        if self.design == "equispaced" and self.p > 1:
+            raise DomainError(f"equispaced design is defined for p <= 1, got p = {self.p}")
         if len(self.beta) != self.p:
             raise DomainError(f"beta must have length p={self.p}")
         if not math.isfinite(self.beta0):
@@ -232,8 +234,6 @@ def _design_matrix(config: SimulationConfig, n: int, rng: np.random.Generator) -
     if p == 0:
         return np.zeros((n, 0))
     if config.design == "equispaced":
-        if p != 1:
-            raise DomainError("equispaced design is defined for p = 1")
         return (np.arange(n) / (n - 1)).reshape(-1, 1)
     if config.design == "iid_uniform_cube":
         return rng.uniform(0.0, 1.0, (n, p))

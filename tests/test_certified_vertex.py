@@ -234,18 +234,37 @@ def test_a_singular_basis_ends_the_pivots(monkeypatch):
     d = np.clip(a[0], 0.0, 1.0) - 0.5
     monkeypatch.setattr(regression, "_floor", lambda y, x: np.full(y.shape[0], -1.0))
     with pytest.raises(SolverFailure) as info:
-        regression._vertex(y, x, 0.5, a[0], d, regression._order(a[0], r[0]), None, 0)
+        regression._vertex(y, x, 0.5, a[0], d, r[0], None, 0)
     assert info.value.best == pytest.approx([-26.0, 2.0, -10.0], rel=1e-12)
 
 
-def test_lead_ranks_the_whole_batch_when_a_nan_is_among_the_least_keys():
+def full_order(a, r):
+    """Every observation of each problem in _lead's order, by one full sort."""
+    return np.lexsort((np.abs(r), -np.minimum(a, 1.0 - a)), axis=-1)
+
+
+def test_lead_ranks_a_row_whole_when_a_nan_is_among_its_least_keys():
     # Row 1 has two finite keys for q = 3, so its third least key is NaN and
-    # selection finds too few candidates: the batch is ranked by _order, NaN
-    # keys last, then by |r|.
+    # every key of the row is a candidate: NaN keys rank last, then by |r|.
     a = np.array([[0.2, 0.9, 0.5, 0.1, 0.7], [np.nan, 0.3, np.nan, np.nan, 0.6]])
     r = np.array([[1.0, -2.0, 0.0, 3.0, -1.0], [0.5, -0.5, 2.0, 1.0, 0.0]])
     lead = regression._lead(a, r, 3)
-    assert lead.tolist() == regression._order(a, r)[:, :3].tolist() == [[2, 4, 0], [4, 1, 0]]
+    assert lead.tolist() == full_order(a, r)[:, :3].tolist() == [[2, 4, 0], [4, 1, 0]]
+
+
+def test_lead_is_the_head_of_the_full_order():
+    # Half the keys and residuals come from a few values, so ties are
+    # common, with NaN, both infinities and both zeros among them; q = n is
+    # the full order.
+    rng = np.random.default_rng(32)
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 0.5, 0.25, 2.0])
+    for _ in range(1000):
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+        a, r = (np.where(rng.random(shape) < 0.5, rng.choice(values, shape),
+                         rng.uniform(-0.5, 1.5, shape)) for _ in range(2))
+        order = full_order(a, r)
+        for q in range(1, shape[1] + 1):
+            assert regression._lead(a, r, q).tolist() == order[:, :q].tolist()
 
 
 def test_traced_peak_stays_linear_and_lean():

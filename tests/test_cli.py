@@ -418,6 +418,14 @@ class TestSimulate:
         ({"error_param": float("inf")}, "standard_normal needs a finite parameter, got inf"),
         ({"beta0": float("nan")}, "beta0 must be finite, got nan"),
         ({"beta": [float("inf")]}, "beta must be finite, got (inf,)"),
+        # A config the study cannot run once exited error:domain: equispaced
+        # at p = 2 from the first draw, the others before it.
+        ({"p": 2, "beta": [1.0, 1.0]}, "equispaced design is defined for p <= 1, got p = 2"),
+        ({"p": 0, "beta": []}, "slope rate study needs p >= 1"),
+        ({"study": "functional_consistency", "functional": "cvar", "level": 1.5},
+         "cvar level must be in (0, 1), got 1.5"),
+        ({"study": "functional_consistency", "functional": "mean_excess", "level": 0.6,
+          "error_dist": "uniform_centered", "error_param": 1.0}, "threshold beyond the support"),
     ])
     def test_bad_config_exits_with_one_config_error(self, tmp_path, capsys, monkeypatch,
                                                     config, message):
@@ -516,6 +524,33 @@ class TestFlagsBeforeWork:
         (["--command", "fit", "--input", fx("p0.csv"), "--response", "y",
           "--alpha", "0.5,abc"],
          "error:config: bad --alpha list: could not convert string to float: 'abc'\n"),
+        # A flag the command does not read was once ignored: simulate ran at
+        # the config's lambda whatever --lambda said.
+        (["--command", "fit", "--input", fx("p0.csv"), "--response", "y",
+          "--functional", "cvar", "--level", "0.9"],
+         "error:config: fit does not read --functional, --level\n"),
+        (["--command", "fit", "--input", fx("p0.csv"), "--response", "y",
+          "--seed", "1", "--config", "study.json"],
+         "error:config: fit does not read --seed, --config\n"),
+        (["--command", "functional", "--input", fx("p0.csv"), "--response", "y",
+          "--functional", "cvar", "--level", "0.5", "--alpha", "0.5"],
+         "error:config: functional does not read --alpha\n"),
+        (["--command", "simulate", "--config", "study.json", "--lambda", "0.2"],
+         "error:config: simulate does not read --lambda; set 'lambda' in the config\n"),
+        (["--command", "simulate", "--config", "study.json", "--alpha", "0.5",
+          "--lambda", "0.2"], "error:config: simulate does not read --alpha, --lambda; "
+                              "set 'alphas' and 'lambda' in the config\n"),
+        (["--command", "simulate", "--config", "study.json", "--input", fx("p0.csv"),
+          "--covariates", ""], "error:config: simulate does not read --input, --covariates\n"),
+        # A level outside its functional's domain was found after the fit.
+        *[(["--command", "functional", "--input", fx("p0.csv"), "--response", "y",
+            "--functional", functional, "--level", level], f"error:config: {message}\n")
+          for functional, level, message in [
+              ("cvar", "1.5", "alpha must be in (0, 1), got 1.5"),
+              ("lorenz", "1.5", "alpha must be in (0, 1], got 1.5"),
+              ("gastwirth_j", "0", "alpha must be in (0, 1), got 0.0"),
+              ("staudte_r", "1", "alpha must be in (0, 1), got 1.0"),
+              ("mean_excess", "nan", "mean_excess threshold must be a number, got nan")]],
     ])
     def test_input_is_not_read(self, capsys, monkeypatch, argv, message):
         calls = count_calls(monkeypatch, cli, "read_csv_dataset")

@@ -269,6 +269,5 @@ class TestConfigValidation:
             small_config(**overrides)
 
     def test_equispaced_needs_p1(self):
-        cfg = small_config(p=2, beta=(1.0, 1.0), design="equispaced")
         with pytest.raises(DomainError):
-            generate(cfg, 30, 0)
+            small_config(p=2, beta=(1.0, 1.0), design="equispaced")
