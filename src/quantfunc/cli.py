@@ -378,6 +378,8 @@ def _check_flags(args) -> None:
         args.alphas = [float(a) for a in alpha.split(",") if a.strip()]
     except ValueError as exc:
         raise CliError("config", f"bad --alpha list: {exc}") from exc
+    if not args.alphas:
+        raise CliError("config", f"--alpha lists no level: {alpha!r}")
     for a in args.alphas:
         if not 0.0 < a < 1.0:
             raise CliError("config", f"--alpha levels must be in (0, 1), got {a}")

@@ -344,8 +344,10 @@ def _interior_point(y: np.ndarray, x: np.ndarray, tau: float, u: np.ndarray | No
     arrays beyond y and x for the study batch at n = 400, and at 11.7 at
     n = 100, where numpy's fixed 64 KB ufunc buffers weigh more (tracemalloc,
     p = 1).  Returns ``a`` and ``w - z``, of shape (B, n), and the
-    iterations, of shape (B,).
+    iterations, of shape (B,); an empty batch returns them empty, at once.
     """
+    if not y.shape[0]:  # no problem would ever stop the loop below
+        return np.empty(y.shape), np.empty(y.shape), np.empty(0, dtype=int)
     if y.shape[0] > 1 and y.shape[1] > _EINSUM_BUFFER:
         alone = [_interior_point(y[k:k + 1], x[k:k + 1], tau, u, rtol)
                  for k in range(y.shape[0])]
@@ -494,12 +496,8 @@ def _banded_vertices(y: np.ndarray, x: np.ndarray, tau: float, m: int):
             yb[k, g] = np.einsum("bi,bi->b", y[k], mask) / (stop - start)
             xb[k, g] = np.einsum("bij,bi->bj", x[k], mask) / (stop - start)
     del ranked, mask
-    if placed.all():
-        a, r, more = _interior_point(yb, xb, tau, u)
-    else:
-        a, r, more = np.zeros(yb.shape), np.zeros(yb.shape), np.zeros(batch, int)
-        if placed.any():
-            a[placed], r[placed], more[placed] = _interior_point(yb[placed], xb[placed], tau, u)
+    a, r, more = np.zeros(yb.shape), np.zeros(yb.shape), np.zeros(batch, int)
+    a[placed], r[placed], more[placed] = _interior_point(yb[placed], xb[placed], tau, u)
     coef, _, independent = _lead_vertices(yb[:, :2 * m], xb[:, :2 * m], a[:, :2 * m],
                                           r[:, :2 * m])
     certified = placed & independent
@@ -524,10 +522,9 @@ def _subsample_fit(y: np.ndarray, x: np.ndarray, tau: float, m: int):
     ys, xs = y[:, sub], x[:, sub]
     placed = np.linalg.matrix_rank(_augmented(xs)) == xs.shape[2] + 1
     coef, iterations = np.zeros((y.shape[0], xs.shape[2] + 1)), np.zeros(y.shape[0], int)
-    if placed.any():
-        ys, xs = ys[placed], xs[placed]
-        _, r, iterations[placed] = _interior_point(ys, xs, tau, rtol=_SUBSAMPLE_RTOL)
-        coef[placed] = _normal_solver(xs, np.ones(ys.shape))(_at(xs, ys - r))
+    ys, xs = ys[placed], xs[placed]
+    _, r, iterations[placed] = _interior_point(ys, xs, tau, rtol=_SUBSAMPLE_RTOL)
+    coef[placed] = _normal_solver(xs, np.ones(ys.shape))(_at(xs, ys - r))
     return coef, iterations, placed
 
 

@@ -53,24 +53,14 @@ _BATCH_ELEMENTS = 16384
 _STD_NORMAL = NormalDist()
 
 
-def _normal_ppf(u: float) -> float:
-    if 0.0 < u < 1.0:
-        return _STD_NORMAL.inv_cdf(u)
-    return -math.inf if u == 0.0 else math.inf if u == 1.0 else math.nan
-
-
 def _normal_cdf(z: float) -> float:
     # erfc keeps full relative precision in the lower tail, where 1 + erf cancels
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-_normal_ppf_vec = np.vectorize(_normal_ppf, otypes=[float])
-_normal_cdf_vec = np.vectorize(_normal_cdf, otypes=[float])
-
-
 @dataclass(frozen=True)
 class ErrorDistribution:
-    """Mean-zero error law with an analytic quantile function.
+    """Mean-zero error law with closed-form population functionals.
 
     Kinds: ``standard_normal``; ``shifted_exponential`` (Exp(rate) minus its
     mean 1/rate, param = rate); ``uniform_centered`` (uniform on
@@ -96,23 +86,6 @@ class ErrorDistribution:
             return rng.exponential(1.0 / self.param, n) - 1.0 / self.param
         half = self.param / 2.0
         return rng.uniform(-half, half, n)
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "standard_normal":
-            return _normal_ppf_vec(u)
-        if self.kind == "shifted_exponential":
-            return -np.log1p(-u) / self.param - 1.0 / self.param
-        return self.param * (u - 0.5)
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        if self.kind == "standard_normal":
-            return _normal_cdf_vec(z)
-        if self.kind == "shifted_exponential":
-            return 1.0 - np.exp(-self.param * np.maximum(z + 1.0 / self.param, 0.0))
-        half = self.param / 2.0
-        return np.clip((z + half) / self.param, 0.0, 1.0)
 
     def true_functional(self, kind: str, level: float) -> float:
         """Population value of a functional, in closed form.

@@ -9,6 +9,9 @@ what a loop of single fits raises first.  The batches must also keep the
 study's memory bounded by the batch size, not by the number of replications.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -186,6 +189,23 @@ def test_interior_point_iterates_do_not_depend_on_the_batch(size):
     batched = [point for start in range(0, 40, size)
                for point in interior_points(datasets[start:start + size], 0.5)]
     assert batched == alone
+
+
+EMPTY_BATCH_SCRIPT = """
+import numpy as np
+from quantfunc import regression
+print([v.shape for v in regression._interior_point(np.empty((0, 5)), np.empty((0, 5, 1)), 0.5)])
+"""
+
+
+def test_an_empty_batch_returns_at_once():
+    # With no problem to stop it, the loop once never ended.  A child
+    # process bounds it, so that a hang fails the test.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(regression.__file__)))
+    out = subprocess.run([sys.executable, "-c", EMPTY_BATCH_SCRIPT],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[(0, 5), (0, 5), (0,)]"
 
 
 def test_a_tied_member_leaves_the_others_unchanged(monkeypatch):

@@ -551,6 +551,9 @@ class TestFlagsBeforeWork:
               ("gastwirth_j", "0", "alpha must be in (0, 1), got 0.0"),
               ("staudte_r", "1", "alpha must be in (0, 1), got 1.0"),
               ("mean_excess", "nan", "mean_excess threshold must be a number, got nan")]],
+        # A list with no level once fitted and reported no intercept, exit 0.
+        *[(["--command", "fit", "--input", fx("p0.csv"), "--response", "y", "--alpha", alpha],
+           f"error:config: --alpha lists no level: {alpha!r}\n") for alpha in ("", ",", " ")],
     ])
     def test_input_is_not_read(self, capsys, monkeypatch, argv, message):
         calls = count_calls(monkeypatch, cli, "read_csv_dataset")

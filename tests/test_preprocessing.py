@@ -46,7 +46,8 @@ def record(monkeypatch):
 
     def solving(y, x, tau, u=None, **kwargs):
         a, r, iterations = interior_point(y, x, tau, u, **kwargs)
-        solves[u is not None].append(iterations.tolist())
+        if y.shape[0]:  # a call with no problem solves nothing
+            solves[u is not None].append(iterations.tolist())
         return a, r, iterations
 
     monkeypatch.setattr(regression, "_full_vertices", fully)
@@ -118,10 +119,10 @@ def test_a_band_of_exact_rows_gets_the_full_fits_optimum(monkeypatch):
     assert got.dispersion == want.dispersion
 
 
-def singular_subsample_set():
+def singular_subsample_set(seed=4):
     """A 0/1 column that is 1 on five rows, none of them subsample rows: the
     subsample's (1, X) is rank deficient."""
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(seed)
     x = np.zeros((3000, 2))
     x[:, 0] = rng.uniform(0.0, 1.0, 3000)
     x[[1, 3, 5, 7, 9], 1] = 1.0
@@ -158,6 +159,22 @@ def test_a_batch_with_one_singular_subsample_keeps_each_lone_fit(monkeypatch):
         ([v.hex() for v in est.beta_tilde], est.iterations) for est in want]
     assert full == [1]
     assert [len(k) for k in solves[False]] == [2, 1] and [len(k) for k in solves[True]] == [2]
+
+
+def test_a_batch_with_no_placed_subsample_keeps_each_lone_fit(monkeypatch):
+    # No member's subsample is solved, nor its band: each goes alone to the
+    # full solve.
+    datasets = [singular_subsample_set(seed) for seed in (4, 5, 6)]
+    want = [fit_r_estimator(ds, 0.5) for ds in datasets]
+    full, solves = record(monkeypatch)
+    y, x = np.stack([ds.y for ds in datasets]), np.stack([ds.x for ds in datasets])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = list(_fit_slopes(y, x, 0.5))
+    assert [([v.hex() for v in b], k) for b, k in got] == [
+        ([v.hex() for v in est.beta_tilde], est.iterations) for est in want]
+    assert full == [1, 1, 1] and solves[True] == []
+    assert solves[False] == [[est.iterations] for est in want]
 
 
 @pytest.mark.parametrize("seed", range(8))
